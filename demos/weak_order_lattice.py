@@ -9,11 +9,11 @@ as (1+q)(1+q^2)...(1+q^n) (1 + q^{n+1} + ... + q^{(n+3)(n+1)}).
 
 from tftflip.representatives import (
     all_reps,
-    compare,
     covers,
     dual,
     identity_rep,
     join,
+    leq,
     longest_rep,
     meet,
     rank_polynomial,
@@ -27,7 +27,7 @@ print(f"representatives: {len(rs)}, lengths 0..{rep_length(longest_rep(n))}")
 print()
 
 r, s = (1, 0, 0, 1), (0, 1, 1, 0)
-print(f"compare {r} vs {s}: {compare(r, s)}")
+print(f"{r} <= {s}: {leq(r, s)}   {s} <= {r}: {leq(s, r)}   (incomparable)")
 print(f"  meet: {meet(r, s, n)}   join: {join(r, s, n)}")
 lhs = rep_length(meet(r, s, n)) + rep_length(join(r, s, n))
 print(f"  modularity: l(meet) + l(join) = {lhs} = l(r) + l(s) = "

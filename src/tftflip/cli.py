@@ -2,7 +2,7 @@
 
 Subcommands: count, graph, distance, diameter, antipode, verify,
 render.  Exit status is 0 on success, 1 on a verification failure and
-2 on usage errors.  Set ``TFT_COLOR=1`` to colorize the verify table.
+2 on usage and I/O errors.  Set ``TFT_COLOR=1`` to colorize the verify table.
 """
 
 from __future__ import annotations
@@ -74,16 +74,11 @@ def cmd_distance(args) -> int:
 
 def cmd_diameter(args) -> int:
     d = flipgraph.diameter(args.n)
-    if args.verify == "bfs":
-        g = flipgraph.build_graph(args.n)
-        by_bfs = flipgraph.bfs_diameter(g)
-        if by_bfs != d:
-            return _fail(f"BFS diameter {by_bfs} != closed form {d}")
-        print(f"{d} verified")
-    elif args.verify == "formula-scan":
-        scanned = flipgraph.formula_scan_diameter(args.n)
-        if scanned != d:
-            return _fail(f"formula scan {scanned} != closed form {d}")
+    if args.verify:
+        check = {"bfs": checks.check_diameter, "formula-scan": checks.check_diameter_scan}
+        ok, detail = check[args.verify](args.n)
+        if not ok:
+            return _fail(detail)
         print(f"{d} verified")
     else:
         print(d)
@@ -119,11 +114,8 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     v = geometry.parse_phi(args.phi, args.n)
     svg = render_svg(geometry.phi_inv(v))
-    try:
-        with open(args.output, "w") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        return _fail(f"cannot write SVG to {args.output}: {exc}")
+    with open(args.output, "w") as fh:
+        fh.write(svg)
     print(f"wrote {args.output}")
     return 0
 
@@ -191,6 +183,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ and order-4 braids at both ends.  It is realized faithfully on R^n by
     s_0: negate x_1,   s_i: swap x_i and x_{i+1},   s_n: x_n -> 2 - x_n,
 
 composed here as signed permutations with even integer translations.
-The same words also act on phi vectors; that action is the
+The same words also act on phi vectors, through the representative
+action of :mod:`tftflip.representatives`; that action is the
 phi-conjugate of the geometric flip and is cross-checked against
 :mod:`tftflip.geometry` in the test suite.
 
@@ -22,10 +23,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
-from .geometry import PhiVector
+from . import representatives as reps
+from .geometry import PhiVector, all_phi_vectors
 
 __all__ = [
     "Word",
@@ -154,37 +155,12 @@ def word_to_affine(n: int, word: Sequence[int]) -> AffineMap:
 # -- action on phi vectors ------------------------------------------
 
 
-def _generator_on_phi(i: int, v: PhiVector) -> PhiVector:
-    n = v.n
-    bits = list(v.bits)
-    a = v.a
-    if i == 0:
-        # moving the short chord 0; direction fixed by the geometric
-        # flip under counterclockwise labels (the reverse of one
-        # published convention -- see the verification findings)
-        a = (a - 1) % (n + 4) if bits[0] == 0 else (a + 1) % (n + 4)
-        bits[0] ^= 1
-    elif i == n:
-        bits[n - 1] ^= 1
-    else:
-        bits[i - 1], bits[i] = bits[i], bits[i - 1]
-    return PhiVector(n, a, tuple(bits))
-
-
 def act_on_phi(word: Sequence[int], v: PhiVector) -> PhiVector:
     """Apply a word to a phi vector, rightmost letter first."""
-    _check_word(word, v.n)
+    r = reps.phi_to_rep(v)
     for letter in reversed(word):
-        v = _generator_on_phi(letter, v)
-    return v
-
-
-def all_phi_vectors(n: int) -> list[PhiVector]:
-    return [
-        PhiVector(n, a, bits)
-        for a in range(n + 4)
-        for bits in product((0, 1), repeat=n)
-    ]
+        r = reps.apply_generator(letter, r, v.n).rep
+    return reps.rep_to_phi(r, v.n)
 
 
 def base_vector(n: int) -> PhiVector:
@@ -259,7 +235,7 @@ def orbit_of_base(n: int) -> set[PhiVector]:
         nxt = []
         for v in frontier:
             for i in range(n + 1):
-                w = _generator_on_phi(i, v)
+                w = act_on_phi((i,), v)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -301,13 +277,11 @@ def relation_words(n: int) -> list[tuple[str, tuple[int, ...]]]:
     return rels
 
 
-def verify_relations(n: int, on_vectors: bool | None = None) -> dict:
+def verify_relations(n: int) -> dict:
     """Check every defining relation as an affine-map identity and,
-    for small n, as the identity action on every phi vector."""
-    if on_vectors is None:
-        on_vectors = n <= 6
+    for n <= 6, as the identity action on every phi vector."""
     failures = []
-    vectors = all_phi_vectors(n) if on_vectors else []
+    vectors = all_phi_vectors(n) if n <= 6 else []
     for name, word in relation_words(n):
         if not word_to_affine(n, word).is_identity():
             failures.append(f"{name} not the identity map")

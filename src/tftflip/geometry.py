@@ -23,6 +23,7 @@ __all__ = [
     "Chord",
     "PhiVector",
     "ColoredTriangulation",
+    "all_phi_vectors",
     "enumerate_ctft",
     "phi_inv",
     "parse_triangulation",
@@ -174,14 +175,14 @@ class ColoredTriangulation:
                 return out
         # n+1 pairwise non-crossing chords triangulate the polygon
         chord_set = set(self.chords)
-        for t in self.triangles():
+        tris = self.triangles()
+        for t in tris:
             sides = [frozenset(p) for p in combinations(sorted(t), 2)]
             if all(s in chord_set for s in sides):
                 out.append(f"inner triangle {sorted(t)} with three chord sides")
         if not is_short(self.chords[0], m):
             out.append("chord 0 is not short")
         else:
-            tris = self.triangles()
             for i in range(1, self.n + 1):
                 prev, cur = self.chords[i - 1], self.chords[i]
                 if not any(prev <= t and cur <= t for t in tris):
@@ -234,13 +235,16 @@ class ColoredTriangulation:
             raise ValueError(f"color {i} out of range 0..{self.n}")
         if not self.is_valid():
             raise ValueError("flip requires a valid triangulation")
-        c = self.chords[i]
-        wings = [t for t in self.triangles() if c <= t]
-        assert len(wings) == 2, "each chord lies in exactly two triangles"
-        quad = (wings[0] | wings[1]) - c
-        new_chord = frozenset(quad)
+        x, y = self.chords[i]
+        edges = self.edges()
+        # the apexes of the chord's two triangles (as in triangles(),
+        # every 3-cycle of edges bounds a face) span the other diagonal
+        apexes = frozenset(
+            z for z in range(self.m) if {frozenset((x, z)), frozenset((y, z))} <= edges
+        )
+        assert len(apexes) == 2, "each chord lies in exactly two triangles"
         flipped = ColoredTriangulation(
-            self.n, self.chords[:i] + (new_chord,) + self.chords[i + 1 :]
+            self.n, self.chords[:i] + (apexes,) + self.chords[i + 1 :]
         )
         return flipped if flipped.is_valid() else self
 
@@ -280,7 +284,7 @@ def parse_triangulation(text: str) -> ColoredTriangulation:
         color, _, pair = item.partition(":")
         x, y = pair.strip("()").split(",")
         chords[int(color)] = frozenset((int(x), int(y)))
-    if sorted(chords) != list(range(n + 1)):
+    if len(chords) != n + 1 or sorted(chords) != list(range(n + 1)):
         raise ValueError(f"colors must be 0..{n}, got {sorted(chords)}")
     return ColoredTriangulation(n, tuple(chords[i] for i in range(n + 1)))
 
@@ -299,6 +303,17 @@ def phi_inv(v: PhiVector) -> ColoredTriangulation:
     return ColoredTriangulation(v.n, tuple(chords))
 
 
+def all_phi_vectors(n: int) -> list[PhiVector]:
+    """The whole phi codomain, in lexicographic (a, bits) order."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return [
+        PhiVector(n, a, bits)
+        for a in range(n + 4)
+        for bits in product((0, 1), repeat=n)
+    ]
+
+
 def enumerate_ctft(n: int) -> list[ColoredTriangulation]:
     """All (n+4)*2^n colored triangle-free triangulations of P_{n+4}.
 
@@ -306,10 +321,4 @@ def enumerate_ctft(n: int) -> list[ColoredTriangulation]:
     order; each underlying uncolored triangulation appears with both of
     its proper colorings.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return [
-        phi_inv(PhiVector(n, a, bits))
-        for a in range(n + 4)
-        for bits in product((0, 1), repeat=n)
-    ]
+    return [phi_inv(v) for v in all_phi_vectors(n)]

@@ -35,7 +35,6 @@ __all__ = [
     "phi_to_rep",
     "apply_generator",
     "is_left_descent",
-    "compare",
     "leq",
     "covers",
     "meet",
@@ -140,6 +139,10 @@ def apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
         raise ValueError(f"generator index {i} out of range 0..{n}")
     e = list(r)
     if i == 0:
+        # moving the short chord 0: the center -sum(r) steps by -1 on
+        # bit 0, the direction of the geometric flip under
+        # counterclockwise labels (the reverse of one published
+        # convention -- see the verification findings)
         e[0] ^= 1
         return GeneratorResult(tuple(e), True)
     if i == n:
@@ -188,23 +191,11 @@ def _suffix_sums(r: Rep) -> tuple[int, ...]:
     return tuple(reversed(out))  # index k -> sum of e_k..e_n
 
 
-def compare(r: Rep, s: Rep) -> str:
-    """Dominance comparison: 'equal', 'less', 'greater' or 'incomparable'."""
+def leq(r: Rep, s: Rep) -> bool:
+    """Dominance order: every suffix sum of r is at most that of s."""
     if len(r) != len(s):
         raise ValueError("representatives must share n")
-    sr, ss = _suffix_sums(r), _suffix_sums(s)
-    if sr == ss:
-        # suffix sums determine the vector
-        return "equal"
-    if all(x <= y for x, y in zip(sr, ss)):
-        return "less"
-    if all(x >= y for x, y in zip(sr, ss)):
-        return "greater"
-    return "incomparable"
-
-
-def leq(r: Rep, s: Rep) -> bool:
-    return compare(r, s) in ("equal", "less")
+    return all(x <= y for x, y in zip(_suffix_sums(r), _suffix_sums(s)))
 
 
 def covers(r: Rep, n: int) -> list[Rep]:

@@ -149,6 +149,21 @@ class TestRender:
         assert exc.value.code == 2
 
 
+class TestIOErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [("graph", "-n", "3"), ("render", "-n", "3", "--phi", "0:000")],
+        ids=["graph", "render"],
+    )
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_no_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tftflip.coxeter import (
     AffineMap,
     act_on_phi,
-    all_phi_vectors,
     base_vector,
     coxeter_length,
     format_word,
@@ -21,7 +20,7 @@ from tftflip.coxeter import (
     verify_stabilizer,
     word_to_affine,
 )
-from tftflip.geometry import PhiVector, phi_inv
+from tftflip.geometry import PhiVector, all_phi_vectors, phi_inv
 
 
 def a_word(i):

@@ -23,12 +23,17 @@ from tftflip.flipgraph import (
 from tftflip.geometry import phi_inv
 from tftflip.representatives import (
     all_reps,
+    apply_generator,
     covers,
     identity_rep,
     longest_rep,
     rep_length,
     rep_to_phi,
 )
+
+
+def fixed_generators(r, n):
+    return [i for i in range(n + 1) if not apply_generator(i, r, n).moved]
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +46,18 @@ class TestStructure:
         assert len(g3.vertices) == 56
 
     def test_degrees(self, g3):
-        for u in range(56):
-            assert g3.degree(u) + len(g3.loops[u]) == 4
+        for u, r in enumerate(g3.vertices):
+            assert g3.degree(u) + len(fixed_generators(r, 3)) == 4
 
     def test_loops_are_equal_adjacent_bits(self, g3):
+        colors = [set() for _ in g3.vertices]
+        for u, v, c in g3.edges:
+            colors[u].add(c)
+            colors[v].add(c)
         for u, r in enumerate(g3.vertices):
-            expected = tuple(
-                i for i in range(1, 3) if r[i - 1] == r[i]
-            )
-            assert g3.loops[u] == expected
+            expected = {i for i in range(1, 3) if r[i - 1] == r[i]}
+            assert set(fixed_generators(r, 3)) == expected
+            assert set(range(4)) - colors[u] == expected
 
     def test_edges_are_covers_plus_wraps(self, g3):
         undirected = {
