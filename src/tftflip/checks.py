@@ -72,13 +72,13 @@ def check_phi_roundtrip(n):
 def check_flip_involution(n):
     cts = geometry.enumerate_ctft(n)
     for ct in cts:
+        v = ct.phi()
         for i in range(n + 1):
             flipped = ct.flip(i)
             if flipped.flip(i) != ct:
                 return False, f"flip {i} is not an involution at {ct}"
             if i in (0, n) and flipped == ct:
                 return False, f"flip {i} fixes {ct} (short chords never stick)"
-            v = ct.phi()
             fixed = 0 < i < n and v.bits[i - 1] == v.bits[i]
             if (flipped == ct) != fixed:
                 return False, f"flip {i} fixed-point rule fails at {ct}"
@@ -196,42 +196,61 @@ def finding_self_duality(n):
 # -- lattice --------------------------------------------------------
 
 
+def _order_bitsets(rs):
+    """Brute-force ``leq`` over all pairs, as int bitsets over indices
+    of ``rs``: bit j of down[i] is leq(rs[j], rs[i]), bit j of up[i]
+    is leq(rs[i], rs[j])."""
+    down = [0] * len(rs)
+    up = [0] * len(rs)
+    for i, r in enumerate(rs):
+        for j, s in enumerate(rs):
+            if reps.leq(r, s):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return down, up
+
+
 def _closure_leq(n):
-    """Reflexive-transitive closure of the cover relation."""
+    """Reflexive-transitive closure of the cover relation, as int
+    bitsets: bit j of reach[i] says rs[j] is reachable from rs[i]."""
     rs = reps.all_reps(n)
     index = {r: i for i, r in enumerate(rs)}
-    above = [set() for _ in rs]
-    for i, r in enumerate(rs):
-        for s in reps.covers(r, n):
-            above[i].add(index[s])
-    reach = [None] * len(rs)
+    reach = [0] * len(rs)
     # covers add one to the length, so longest first finds every
     # reach[j] above i already computed
     for i in sorted(range(len(rs)), key=lambda i: -reps.rep_length(rs[i])):
-        reach[i] = {i}.union(*(reach[j] for j in above[i]))
-    return rs, index, reach
+        reach[i] = 1 << i
+        for s in reps.covers(rs[i], n):
+            reach[i] |= reach[index[s]]
+    return rs, reach
 
 
 def check_order_closure(n):
-    rs, index, reach = _closure_leq(n)
+    rs, reach = _closure_leq(n)
+    _, up = _order_bitsets(rs)
     for i, r in enumerate(rs):
-        for j, s in enumerate(rs):
-            if reps.leq(r, s) != (j in reach[i]):
-                return False, f"dominance vs cover closure disagree at {r}, {s}"
+        differ = up[i] ^ reach[i]
+        if differ:
+            j = (differ & -differ).bit_length() - 1
+            return False, f"dominance vs cover closure disagree at {r}, {rs[j]}"
     return True, "dominance order equals the transitive closure of covers"
 
 
 def check_meet_join(n):
     rs = reps.all_reps(n)
-    for r in rs:
-        for s in rs:
-            m = reps.meet(r, s, n)
-            j = reps.join(r, s, n)
-            lowers = [t for t in rs if reps.leq(t, r) and reps.leq(t, s)]
-            uppers = [t for t in rs if reps.leq(r, t) and reps.leq(s, t)]
-            if not (m in lowers and all(reps.leq(t, m) for t in lowers)):
+    index = {r: i for i, r in enumerate(rs)}
+    down, up = _order_bitsets(rs)
+    for a, r in enumerate(rs):
+        for b, s in enumerate(rs):
+            # lowers: every t with t <= r and t <= s; the meet must be
+            # one of them and lie above all of them (uppers mirror it)
+            lowers = down[a] & down[b]
+            m = index.get(reps.meet(r, s, n))
+            if m is None or not (lowers >> m & 1 and lowers & ~down[m] == 0):
                 return False, f"meet formula is not the glb at {r}, {s}"
-            if not (j in uppers and all(reps.leq(j, t) for t in uppers)):
+            uppers = up[a] & up[b]
+            j = index.get(reps.join(r, s, n))
+            if j is None or not (uppers >> j & 1 and uppers & ~up[j] == 0):
                 return False, f"join formula is not the lub at {r}, {s}"
     return True, "meet/join formulas equal brute-force glb/lub on all pairs"
 
@@ -257,9 +276,13 @@ def check_duality(n):
             return False, f"dual not an involution at {r}"
         if reps.rep_length(d) != top_len - reps.rep_length(r):
             return False, f"dual length complement fails at {r}"
-    for r in rs:
-        for s in rs:
-            if reps.leq(r, s) != reps.leq(reps.dual(s, n), reps.dual(r, n)):
+    index = {r: i for i, r in enumerate(rs)}
+    dual = [index[reps.dual(r, n)] for r in rs]
+    _, up = _order_bitsets(rs)
+    for i, r in enumerate(rs):
+        for j, s in enumerate(rs):
+            # leq(r, s) against leq(dual(s), dual(r))
+            if up[i] >> j & 1 != up[dual[j]] >> dual[i] & 1:
                 return False, f"dual does not reverse order at {r}, {s}"
     return True, "dual is an order-reversing, length-complementing involution"
 
@@ -378,13 +401,16 @@ def check_bipartition(n):
 def check_shortest_representatives(n):
     g = flipgraph.build_graph(n)
     base = flipgraph.bfs_distances(g, g.index[reps.identity_rep(n)])
+    star = coxeter.base_vector(n)
     for r, word in flipgraph.shortest_representatives(n):
         oracle = coxeter.coxeter_length(coxeter.word_to_affine(n, word))
-        if oracle != base[g.index[r]]:
+        if not len(word) == oracle == base[g.index[r]]:
             return False, (
-                f"shortest word for {r} has length {oracle}, "
-                f"graph distance {base[g.index[r]]}"
+                f"shortest word for {r} has {len(word)} letters, length "
+                f"{oracle}, graph distance {base[g.index[r]]}"
             )
+        if coxeter.act_on_phi(word, star) != reps.rep_to_phi(r, n):
+            return False, f"shortest word for {r} lies in another coset"
     return True, "shortest-representative lengths equal Schreier distances"
 
 
@@ -440,7 +466,8 @@ SUITES: list[Check] = [
     Check("graph-description", "graph", 5, check_graph_description),
     Check("distance-formula", "graph", 6, check_distance_formula, min_n=3),
     Check("diameter-bfs", "graph", 6, check_diameter, min_n=3),
-    Check("diameter-scan", "graph", 12, check_diameter_scan, min_n=3),
+    # one formula call per pair: 13 s at n = 8, 64 s at n = 9
+    Check("diameter-scan", "graph", 8, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),
     Check("bipartition", "graph", 6, check_bipartition, min_n=3),
     Check("shortest-reps", "graph", 5, check_shortest_representatives, min_n=3),

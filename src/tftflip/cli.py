@@ -120,8 +120,16 @@ def cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exit status 2; subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"tft: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tft",
         description="Colored triangle-free triangulations and their flip graph.",
     )

@@ -14,7 +14,7 @@ phi-conjugate of the geometric flip and is cross-checked against
 
 The exact word-length function counts reflection hyperplanes
 separating the base alcove 0 < x_1 < ... < x_n < 1 from its image,
-with rational arithmetic throughout.
+in integer arithmetic on an interior point scaled by n+1.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "word_to_affine",
     "act_on_phi",
     "coxeter_length",
+    "left_descents",
     "g0_word",
     "gn_word",
     "stabilizer_generators",
@@ -146,9 +147,10 @@ class AffineMap:
 def word_to_affine(n: int, word: Sequence[int]) -> AffineMap:
     """Product of generator maps, leftmost letter outermost."""
     _check_word(word, n)
+    generators = [AffineMap.generator(n, i) for i in range(n + 1)]
     m = AffineMap.identity(n)
     for letter in word:
-        m = m.compose(AffineMap.generator(n, letter))
+        m = m.compose(generators[letter])
     return m
 
 
@@ -157,10 +159,12 @@ def word_to_affine(n: int, word: Sequence[int]) -> AffineMap:
 
 def act_on_phi(word: Sequence[int], v: PhiVector) -> PhiVector:
     """Apply a word to a phi vector, rightmost letter first."""
-    r = reps.phi_to_rep(v)
+    n = v.n
+    _check_word(word, n)
+    r = reps.phi_to_rep(v)  # valid whenever v is
     for letter in reversed(word):
-        r = reps.apply_generator(letter, r, v.n).rep
-    return reps.rep_to_phi(r, v.n)
+        r = reps._apply_generator(letter, r, n).rep
+    return reps.rep_to_phi(r, n)
 
 
 def base_vector(n: int) -> PhiVector:
@@ -171,39 +175,53 @@ def base_vector(n: int) -> PhiVector:
 # -- exact length ---------------------------------------------------
 
 
-def _ints_strictly_between(lo: Fraction, hi: Fraction) -> int:
-    if lo > hi:
-        lo, hi = hi, lo
-    count = math.floor(hi) - math.ceil(lo) + 1
-    if hi == math.floor(hi):
-        count -= 1
-    if lo == math.ceil(lo):
-        count -= 1
-    return max(count, 0)
+def _scaled_image(m: AffineMap) -> tuple[list[int], list[int]]:
+    """The interior point p_i = i/(n+1) of the base alcove and its
+    image under ``m``, both scaled by n+1.
 
-
-def _evens_strictly_between(lo: Fraction, hi: Fraction) -> int:
-    return _ints_strictly_between(lo / 2, hi / 2)
+    No reflection hyperplane passes through either point, so every
+    hyperplane count below is a difference of floors.
+    """
+    k = m.n + 1
+    p = list(range(1, k))
+    q = [s * p[c] + t * k for s, c, t in zip(m.signs, m.cols, m.shift)]
+    return p, q
 
 
 def coxeter_length(m: AffineMap) -> int:
     """Exact group length of the element realized by ``m``.
 
     Counts the reflection hyperplanes x_i = k, x_i - x_j = 2k and
-    x_i + x_j = 2k separating the base alcove from its image, via a
-    rational interior point.
+    x_i + x_j = 2k separating the base alcove from its image: after
+    scaling by n+1, the multiples of n+1 (or 2(n+1)) strictly between
+    the coordinates of an interior point and of its image.
     """
     n = m.n
-    p = [Fraction(i, n + 1) for i in range(1, n + 1)]
-    q = m.apply(p)
-    total = 0
-    for i in range(n):
-        total += _ints_strictly_between(p[i], q[i])
+    p, q = _scaled_image(m)
+    k, k2 = n + 1, 2 * (n + 1)
+    total = sum(abs(y // k - x // k) for x, y in zip(p, q))
     for i in range(n):
         for j in range(i + 1, n):
-            total += _evens_strictly_between(p[i] - p[j], q[i] - q[j])
-            total += _evens_strictly_between(p[i] + p[j], q[i] + q[j])
+            total += abs((q[i] - q[j]) // k2 - (p[i] - p[j]) // k2)
+            total += abs((q[i] + q[j]) // k2 - (p[i] + p[j]) // k2)
     return total
+
+
+def left_descents(m: AffineMap) -> list[int]:
+    """The generators s_i with l(s_i m) < l(m), in increasing order.
+
+    s_i is a left descent exactly when its wall of the base alcove
+    (x_1 = 0, x_i = x_{i+1}, x_n = 1) separates the alcove from its
+    image (Bjoerner-Brenti, Combinatorics of Coxeter Groups, ch. 8),
+    which one sign of the image of the interior point decides.
+    """
+    n = m.n
+    _, q = _scaled_image(m)
+    out = [0] if q[0] < 0 else []
+    out.extend(i for i in range(1, n) if q[i - 1] > q[i])
+    if q[n - 1] > n + 1:
+        out.append(n)
+    return out
 
 
 # -- stabilizer of the base triangulation ---------------------------

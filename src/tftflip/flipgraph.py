@@ -144,14 +144,18 @@ def distance_formula(r: Rep, s: Rep, n: int) -> int:
         raise ValueError("the closed-form distance requires n >= 3")
     reps.check_rep(r, n)
     reps.check_rep(s, n)
+    return _distance(r, s, n)
+
+
+def _distance(r: Rep, s: Rep, n: int) -> int:
+    """The body of :func:`distance_formula`, for checked arguments."""
     delta = (r[n] - s[n]) % (n + 4)
-    suffix = 0
-    diffs = [0]  # sum of (r_i - s_i) for i = j..n-1, j = n down to 0
+    d1, d2 = delta, n + 4 - delta  # the terms for the empty suffix
+    x = 0  # sum of (r_i - s_i) for i = j..n-1, j = n-1 down to 0
     for i in range(n - 1, -1, -1):
-        suffix += r[i] - s[i]
-        diffs.append(suffix)
-    d1 = sum(abs(delta + x) for x in diffs)
-    d2 = sum(abs(n + 4 - delta - x) for x in diffs)
+        x += r[i] - s[i]
+        d1 += abs(delta + x)
+        d2 += abs(n + 4 - delta - x)
     return min(d1, d2)
 
 
@@ -167,14 +171,11 @@ def bfs_diameter(g: FlipGraph) -> int:
 
 
 def formula_scan_diameter(n: int) -> int:
+    """Largest closed-form distance over all pairs of vertices."""
+    if n < 3:
+        raise ValueError("the closed-form distance requires n >= 3")
     rs = reps.all_reps(n)
-    best = 0
-    for i, r in enumerate(rs):
-        for s in rs[i + 1 :]:
-            d = distance_formula(r, s, n)
-            if d > best:
-                best = d
-    return best
+    return max(_distance(r, s, n) for i, r in enumerate(rs) for s in rs[i + 1 :])
 
 
 # -- antipodes, sign ------------------------------------------------
@@ -229,7 +230,7 @@ def shortest_representatives(n: int) -> list[tuple[Rep, tuple[int, ...]]]:
     resulting word length equals the graph distance from the base
     vertex (oracle-checked in the tests).
     """
-    from .coxeter import AffineMap, coxeter_length, gn_word, word_to_affine
+    from .coxeter import AffineMap, gn_word, left_descents, word_to_affine
 
     if n < 3:
         raise ValueError("shortest representatives require n >= 3")
@@ -244,16 +245,12 @@ def shortest_representatives(n: int) -> list[tuple[Rep, tuple[int, ...]]]:
             # peeling left descents off the realized element
             m = word_to_affine(n, word + gn_inverse)
             word = []
-            length = coxeter_length(m)
-            while length:
-                for i, gen in enumerate(generators):
-                    shorter = gen.compose(m)
-                    if coxeter_length(shorter) == length - 1:
-                        word.append(i)
-                        m, length = shorter, length - 1
-                        break
-                else:
+            while not m.is_identity():
+                descents = left_descents(m)
+                if not descents:
                     raise RuntimeError("no descent found: oracle broken")
+                word.append(descents[0])
+                m = generators[descents[0]].compose(m)
             word = tuple(word)
         out.append((r, word))
     return out

@@ -17,6 +17,7 @@ chords 0..i-1 by one vertex counterclockwise (bit 0) or clockwise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 __all__ = [
@@ -135,65 +136,71 @@ class ColoredTriangulation:
 
     # -- structure ---------------------------------------------------
 
-    def edges(self) -> set[Chord]:
+    def _neighbours(self) -> list[set[int]]:
+        """Vertex -> the vertices it shares a boundary edge or chord with."""
         m = self.m
-        boundary = {frozenset(((i, (i + 1) % m))) for i in range(m)}
-        return boundary | set(self.chords)
+        nbrs = [{(v - 1) % m, (v + 1) % m} for v in range(m)]
+        for x, y in self.chords:
+            nbrs[x].add(y)
+            nbrs[y].add(x)
+        return nbrs
 
     def triangles(self) -> list[frozenset]:
-        """All triangular faces, as vertex triples.
+        """All triangular faces, as vertex triples in lexicographic order.
 
         With vertices in convex position every 3-cycle of edges bounds
         an empty triangle, so faces are exactly the pairwise-connected
         triples.
         """
-        edges = self.edges()
-        tris = []
-        for t in combinations(range(self.m), 3):
-            x, y, z = t
-            if (
-                frozenset((x, y)) in edges
-                and frozenset((y, z)) in edges
-                and frozenset((x, z)) in edges
-            ):
-                tris.append(frozenset(t))
-        return tris
+        nbrs = self._neighbours()
+        triples = sorted(
+            (x, y, z)
+            for x in range(self.m)
+            for y in nbrs[x]
+            if y > x
+            for z in nbrs[x] & nbrs[y]
+            if z > y
+        )
+        return [frozenset(t) for t in triples]
 
     def violations(self) -> list[str]:
         """Names of violated invariants; empty means valid."""
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        # the fields are immutable, so validity is computed once
         m = self.m
-        out = []
         if len(self.chords) != self.n + 1:
-            out.append(f"wrong chord count: {len(self.chords)} != {self.n + 1}")
-            return out
+            return (f"wrong chord count: {len(self.chords)} != {self.n + 1}",)
         if len(set(self.chords)) != self.n + 1:
-            out.append("duplicate chords")
-            return out
+            return ("duplicate chords",)
         for c1, c2 in combinations(self.chords, 2):
             if chords_cross(c1, c2, m):
-                out.append(f"crossing chords {sorted(c1)} and {sorted(c2)}")
-                return out
+                return (f"crossing chords {sorted(c1)} and {sorted(c2)}",)
         # n+1 pairwise non-crossing chords triangulate the polygon
+        out = []
         chord_set = set(self.chords)
         tris = self.triangles()
         for t in tris:
-            sides = [frozenset(p) for p in combinations(sorted(t), 2)]
-            if all(s in chord_set for s in sides):
+            if all(frozenset(p) in chord_set for p in combinations(sorted(t), 2)):
                 out.append(f"inner triangle {sorted(t)} with three chord sides")
         if not is_short(self.chords[0], m):
             out.append("chord 0 is not short")
         else:
+            faces = set(tris)
             for i in range(1, self.n + 1):
-                prev, cur = self.chords[i - 1], self.chords[i]
-                if not any(prev <= t and cur <= t for t in tris):
+                # two distinct chords lie in a common face exactly when
+                # their union is that face
+                if self.chords[i - 1] | self.chords[i] not in faces:
                     out.append(
                         f"improper coloring: chord {i} shares no triangle with chord {i - 1}"
                     )
                     break
-        return out
+        return tuple(out)
 
     def is_valid(self) -> bool:
-        return not self.violations()
+        return not self._violations
 
     def short_chords(self) -> list[Chord]:
         return [c for c in self.chords if is_short(c, self.m)]
@@ -236,12 +243,10 @@ class ColoredTriangulation:
         if not self.is_valid():
             raise ValueError("flip requires a valid triangulation")
         x, y = self.chords[i]
-        edges = self.edges()
+        nbrs = self._neighbours()
         # the apexes of the chord's two triangles (as in triangles(),
         # every 3-cycle of edges bounds a face) span the other diagonal
-        apexes = frozenset(
-            z for z in range(self.m) if {frozenset((x, z)), frozenset((y, z))} <= edges
-        )
+        apexes = frozenset(nbrs[x] & nbrs[y])
         assert len(apexes) == 2, "each chord lies in exactly two triangles"
         flipped = ColoredTriangulation(
             self.n, self.chords[:i] + (apexes,) + self.chords[i + 1 :]

@@ -137,6 +137,11 @@ def apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
     check_rep(r, n)
     if not 0 <= i <= n:
         raise ValueError(f"generator index {i} out of range 0..{n}")
+    return _apply_generator(i, r, n)
+
+
+def _apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
+    """The body of :func:`apply_generator`, for arguments already checked."""
     e = list(r)
     if i == 0:
         # moving the short chord 0: the center -sum(r) steps by -1 on

@@ -1,0 +1,87 @@
+"""The rewritten oracle checks must still fail on wrong answers."""
+
+import pytest
+
+from tftflip import checks, flipgraph
+from tftflip import representatives as reps
+
+
+def wrong_at(fn, pair, answer):
+    """``fn`` except that it returns ``answer`` at the one ``pair``."""
+
+    def patched(r, s, n):
+        return answer if (r, s) == pair else fn(r, s, n)
+
+    return patched
+
+
+N = 3
+BOTTOM, TOP = reps.identity_rep(N), reps.longest_rep(N)
+
+
+@pytest.mark.parametrize(
+    "name, pair, answer",
+    [
+        ("meet", (TOP, TOP), BOTTOM),  # a lower bound, but not the greatest
+        ("meet", (BOTTOM, BOTTOM), TOP),  # not a lower bound
+        ("join", (BOTTOM, BOTTOM), TOP),  # an upper bound, but not the least
+        ("join", (TOP, TOP), BOTTOM),  # not an upper bound
+    ],
+)
+def test_meet_join_catches_one_wrong_pair(monkeypatch, name, pair, answer):
+    assert checks.check_meet_join(N)[0]
+    monkeypatch.setattr(reps, name, wrong_at(getattr(reps, name), pair, answer))
+    ok, detail = checks.check_meet_join(N)
+    assert not ok
+    assert f"{name} formula" in detail
+
+
+def test_meet_join_catches_a_non_representative(monkeypatch):
+    monkeypatch.setattr(reps, "meet", wrong_at(reps.meet, (TOP, TOP), (9,) * (N + 1)))
+    assert not checks.check_meet_join(N)[0]
+
+
+def test_shortest_reps_catches_a_padded_word(monkeypatch):
+    words = flipgraph.shortest_representatives(N)
+    padded = words[:-1] + [(words[-1][0], (0, 0) + words[-1][1])]
+    monkeypatch.setattr(flipgraph, "shortest_representatives", lambda n: padded)
+    ok, detail = checks.check_shortest_representatives(N)
+    assert not ok
+    assert "letters" in detail
+
+
+def test_shortest_reps_catches_a_word_of_another_coset(monkeypatch):
+    words = dict(flipgraph.shortest_representatives(N))
+    # s_0 and s_n both lead from the base to a neighbour
+    swapped = dict(words)
+    swapped[(1, 0, 0, 0)] = words[(0, 0, 1, N + 3)]
+    monkeypatch.setattr(flipgraph, "shortest_representatives", lambda n: list(swapped.items()))
+    ok, detail = checks.check_shortest_representatives(N)
+    assert not ok
+    assert "another coset" in detail
+
+
+ATOM = (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "check, pair",
+    [
+        (checks.check_order_closure, (TOP, ATOM)),
+        # the first pair in order whose dual pair is the wrong one
+        (checks.check_duality, (reps.dual(ATOM, N), BOTTOM)),
+    ],
+)
+def test_order_checks_catch_a_wrong_order(monkeypatch, check, pair):
+    leq = reps.leq
+    monkeypatch.setattr(reps, "leq", lambda r, s: leq(r, s) or (r, s) == (TOP, ATOM))
+    ok, detail = check(N)
+    assert not ok
+    assert detail.endswith(f"at {pair[0]}, {pair[1]}")
+
+
+def test_graph_suite_is_capped_at_n12():
+    # the graph oracles would take hours at n = 12
+    rows = list(checks.run_suite(12, "graph"))
+    assert rows
+    assert {status for _, status, _ in rows} == {"skip"}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_usage_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tft: error: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestCount:
@@ -52,6 +60,7 @@ class TestDistance:
         with pytest.raises(SystemExit) as exc:
             main(["distance", "-n", "3", "--from", "2,0,0,0", "--to", "0,0,0,0"])
         assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
 
 
 class TestDiameter:
@@ -74,6 +83,7 @@ class TestDiameter:
         with pytest.raises(SystemExit) as exc:
             main(["diameter", "-n", "2"])
         assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
 
 
 class TestAntipode:
@@ -95,6 +105,7 @@ class TestAntipode:
         with pytest.raises(SystemExit) as exc:
             main(["antipode", "-n", "3", "--rep", "0,0,0,0", "--kind", "rotate"])
         assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
 
 
 class TestGraph:
@@ -131,6 +142,15 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_golden_output(self, capsys, monkeypatch, n):
+        # recorded from `tft verify -n <n>` before the oracles were sped up
+        monkeypatch.setenv("TFT_COLOR", "0")
+        code, out, _ = run(capsys, "verify", "-n", str(n))
+        assert code == 0
+        golden = Path(__file__).with_name("data") / f"verify_n{n}.txt"
+        assert out.encode() == golden.read_bytes()
+
 
 class TestRender:
     def test_writes_svg(self, capsys, tmp_path):
@@ -147,6 +167,7 @@ class TestRender:
         with pytest.raises(SystemExit) as exc:
             main(["render", "-n", "3", "--phi", "9:000", "-o", "/tmp/x.svg"])
         assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
 
 
 class TestIOErrors:
@@ -165,12 +186,14 @@ class TestIOErrors:
 
 
 class TestUsage:
-    def test_no_command(self):
+    def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
 
-    def test_missing_n(self):
+    def test_missing_n(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count"])
         assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)

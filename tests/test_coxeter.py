@@ -13,6 +13,7 @@ from tftflip.coxeter import (
     g0_word,
     gn_word,
     gram_and_volumes,
+    left_descents,
     orbit_of_base,
     parse_word,
     relation_words,
@@ -143,6 +144,37 @@ class TestLength:
         m = word_to_affine(3, g0_word(3))
         assert not m.is_identity()
         assert coxeter_length(m) == len(g0_word(3))
+
+
+def cayley_ball(n, radius):
+    """Element -> word length, for every element within ``radius`` of
+    the identity, by breadth-first search in the Cayley graph.  Map
+    equality is group equality because the realization is faithful."""
+    gens = [AffineMap.generator(n, i) for i in range(n + 1)]
+    depth = {AffineMap.identity(n): 0}
+    frontier = list(depth)
+    for d in range(1, radius + 1):
+        frontier = [g.compose(m) for m in frontier for g in gens]
+        frontier = [m for m in dict.fromkeys(frontier) if m not in depth]
+        depth.update((m, d) for m in frontier)
+    return depth
+
+
+class TestLengthAgainstGroupBFS:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_length_is_bfs_depth(self, n):
+        ball = cayley_ball(n, 7)
+        assert len(ball) > 7 * (n + 1)
+        for m, depth in ball.items():
+            assert coxeter_length(m) == depth
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_descent_sign_test(self, n):
+        gens = [AffineMap.generator(n, i) for i in range(n + 1)]
+        for m in cayley_ball(n, 6):
+            length = coxeter_length(m)
+            shorter = [i for i, g in enumerate(gens) if coxeter_length(g.compose(m)) < length]
+            assert left_descents(m) == shorter
 
 
 class TestStabilizer:

@@ -179,6 +179,17 @@ class TestFlip:
         with pytest.raises(ValueError):
             bad.flip(0)
 
+    def test_invalid_stays_invalid(self):
+        # validity is cached per instance; the verdict must not change
+        swapped = (T0.chords[1], T0.chords[0]) + T0.chords[2:]
+        bad = ColoredTriangulation(3, swapped)
+        assert not bad.is_valid()
+        assert not bad.is_valid()
+        assert bad.violations() == ["chord 0 is not short"]
+        for i in range(4):
+            with pytest.raises(ValueError):
+                bad.flip(i)
+
 
 class TestSymmetry:
     def test_rotate_star(self):
