@@ -8,21 +8,25 @@ of the star has index (n+4) * 2^n -- computed three independent ways.
 """
 
 from tftflip.coxeter import (
+    act_on_phi,
+    base_vector,
     coxeter_length,
+    format_word,
     g0_word,
     gn_word,
     gram_and_volumes,
     orbit_of_base,
+    relation_words,
     stabilizer_generators,
-    verify_relations,
-    verify_stabilizer,
     word_to_affine,
 )
 
 n = 3
 
-report = verify_relations(n)
-print(f"defining relations checked: {report['checked']}, failures: {report['failures']}")
+# each relation word realizes the identity map
+relations = relation_words(n)
+broken = [name for name, word in relations if not word_to_affine(n, word).is_identity()]
+print(f"defining relations checked: {len(relations)}, failures: {broken}")
 
 # the generators realize as signed permutations with even translations;
 # for example the long stabilizer element g_0
@@ -41,10 +45,11 @@ print(f"counting formula:         {(n + 4) * 2 ** n}")
 print()
 
 # the stabilizer generators really fix the star
-report = verify_stabilizer(n)
-for word, fixes in report["generators_fix_base"].items():
-    shown = word if len(word) < 30 else word[:27] + "..."
-    print(f"  fixes star: {fixes}   word: {shown}")
+star = base_vector(n)
+for word in stabilizer_generators(n):
+    shown = format_word(word)
+    shown = shown if len(shown) < 30 else shown[:27] + "..."
+    print(f"  fixes star: {act_on_phi(word, star) == star}   word: {shown}")
 
 # g_n is a translation: trivial-looking on the star, far from trivial
 gn = word_to_affine(n, gn_word(n))

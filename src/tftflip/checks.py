@@ -89,24 +89,33 @@ def check_flip_involution(n):
 
 
 def check_relations(n):
-    rep = coxeter.verify_relations(n)
-    if not rep["ok"]:
-        return False, "; ".join(rep["failures"])
-    return True, f"all {rep['checked']} defining relations hold"
+    # each relation as an affine-map identity and, for n <= 6, as the
+    # identity action on every phi vector
+    rels = coxeter.relation_words(n)
+    vectors = geometry.all_phi_vectors(n) if n <= 6 else []
+    failures = []
+    for name, word in rels:
+        if not coxeter.word_to_affine(n, word).is_identity():
+            failures.append(f"{name} not the identity map")
+        moved = next((v for v in vectors if coxeter.act_on_phi(word, v) != v), None)
+        if moved is not None:
+            failures.append(f"{name} moves vector {moved}")
+    if failures:
+        return False, "; ".join(failures)
+    return True, f"all {len(rels)} defining relations hold"
 
 
 def check_stabilizer(n):
-    rep = coxeter.verify_stabilizer(n)
-    if not rep["ok"]:
-        bad = [w for w, ok in rep["generators_fix_base"].items() if not ok]
-        return False, (
-            f"orbit {rep['orbit_size']} (expected {rep['expected_orbit_size']}); "
-            f"generators not fixing base: {bad}"
-        )
-    return True, (
-        f"all {len(rep['generators_fix_base'])} stabilizer generators fix the "
-        f"base; orbit size {rep['orbit_size']}"
-    )
+    # the stabilizer generators fix the base vector and the action is
+    # transitive
+    base = coxeter.base_vector(n)
+    words = coxeter.stabilizer_generators(n)
+    bad = [coxeter.format_word(w) for w in words if coxeter.act_on_phi(w, base) != base]
+    orbit = len(coxeter.orbit_of_base(n))
+    expected = (n + 4) * 2**n
+    if bad or orbit != expected:
+        return False, f"orbit {orbit} (expected {expected}); generators not fixing base: {bad}"
+    return True, f"all {len(words)} stabilizer generators fix the base; orbit size {orbit}"
 
 
 def check_volumes(n):
@@ -388,14 +397,15 @@ def check_antipodes(n):
 
 
 def check_bipartition(n):
+    # every edge joins opposite signs, and the two classes are equal
     g = flipgraph.build_graph(n)
-    rep = flipgraph.bipartition_check(g)
-    if not rep["ok"]:
-        return False, (
-            f"{len(rep['monochromatic_edges'])} monochromatic edges, "
-            f"classes {rep['class_sizes']}"
-        )
-    return True, f"bipartite with equal classes {rep['class_sizes']}"
+    signs = [flipgraph.sign(r) for r in g.vertices]
+    bad = sum(1 for u, v, _ in g.edges if signs[u] == signs[v])
+    plus = signs.count(1)
+    classes = (plus, len(signs) - plus)
+    if bad or classes[0] != classes[1]:
+        return False, f"{bad} monochromatic edges, classes {classes}"
+    return True, f"bipartite with equal classes {classes}"
 
 
 def check_shortest_representatives(n):
@@ -465,7 +475,9 @@ SUITES: list[Check] = [
     Check("rank-polynomial", "lattice", 6, check_rank_polynomial),
     Check("graph-description", "graph", 5, check_graph_description),
     Check("distance-formula", "graph", 6, check_distance_formula, min_n=3),
-    Check("diameter-bfs", "graph", 6, check_diameter, min_n=3),
+    # one streamed BFS per vertex: 3.8 s at n = 8, 19 s at n = 9,
+    # 133 s at n = 10, under 40 MiB
+    Check("diameter-bfs", "graph", 9, check_diameter, min_n=3),
     # one formula call per pair: 13 s at n = 8, 64 s at n = 9
     Check("diameter-scan", "graph", 8, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),

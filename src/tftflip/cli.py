@@ -11,9 +11,13 @@ import argparse
 import os
 import sys
 
-from . import checks, coxeter, flipgraph, geometry
+from . import checks, flipgraph, geometry
 from . import representatives as reps
 from .render import render_svg
+
+# (n+4) * 2^n has about 0.3 n digits: Python refuses to print over
+# 4,300, and for a huge n the power alone would exhaust memory
+_MAX_COUNT_N = 10_000
 
 _GREEN = "\033[32m"
 _RED = "\033[31m"
@@ -34,7 +38,11 @@ def _add_n(parser, minimum):
 
 
 def cmd_count(args) -> int:
-    total = len(geometry.enumerate_ctft(args.n))
+    # (n+4) * 2^n by construction of the (center, bits) parametrization;
+    # the ``counting`` check enumerates and validates them
+    if args.n > _MAX_COUNT_N:
+        raise ValueError(f"count supports n <= {_MAX_COUNT_N}")
+    total = (args.n + 4) * 2**args.n
     print(f"CTFT={total} TFT={total // 2}")
     return 0
 
@@ -75,8 +83,11 @@ def cmd_distance(args) -> int:
 def cmd_diameter(args) -> int:
     d = flipgraph.diameter(args.n)
     if args.verify:
-        check = {"bfs": checks.check_diameter, "formula-scan": checks.check_diameter_scan}
-        ok, detail = check[args.verify](args.n)
+        name = "diameter-bfs" if args.verify == "bfs" else "diameter-scan"
+        check = next(c for c in checks.SUITES if c.name == name)
+        if args.n > check.max_n:
+            raise ValueError(f"--verify {args.verify} supports n <= {check.max_n}")
+        ok, detail = check.run(args.n)
         if not ok:
             return _fail(detail)
         print(f"{d} verified")

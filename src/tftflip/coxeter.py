@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import representatives as reps
-from .geometry import PhiVector, all_phi_vectors
+from .geometry import PhiVector
 
 __all__ = [
     "Word",
@@ -38,10 +38,8 @@ __all__ = [
     "g0_word",
     "gn_word",
     "stabilizer_generators",
-    "verify_stabilizer",
     "orbit_of_base",
     "relation_words",
-    "verify_relations",
     "gram_and_volumes",
     "parse_word",
     "format_word",
@@ -261,24 +259,6 @@ def orbit_of_base(n: int) -> set[PhiVector]:
     return seen
 
 
-def verify_stabilizer(n: int) -> dict:
-    """Check the stabilizer generators fix the base vector and the
-    action is transitive (orbit size (n+4)*2^n)."""
-    base = base_vector(n)
-    fixed = {
-        format_word(w): act_on_phi(w, base) == base
-        for w in stabilizer_generators(n)
-    }
-    orbit_size = len(orbit_of_base(n))
-    expected = (n + 4) * 2**n
-    return {
-        "generators_fix_base": fixed,
-        "orbit_size": orbit_size,
-        "expected_orbit_size": expected,
-        "ok": all(fixed.values()) and orbit_size == expected,
-    }
-
-
 # -- defining relations ---------------------------------------------
 
 
@@ -293,21 +273,6 @@ def relation_words(n: int) -> list[tuple[str, tuple[int, ...]]]:
     for i in (0, n - 1):
         rels.append((f"(s{i} s{i + 1})^4", (i, i + 1) * 4))
     return rels
-
-
-def verify_relations(n: int) -> dict:
-    """Check every defining relation as an affine-map identity and,
-    for n <= 6, as the identity action on every phi vector."""
-    failures = []
-    vectors = all_phi_vectors(n) if n <= 6 else []
-    for name, word in relation_words(n):
-        if not word_to_affine(n, word).is_identity():
-            failures.append(f"{name} not the identity map")
-        for v in vectors:
-            if act_on_phi(word, v) != v:
-                failures.append(f"{name} moves vector {v}")
-                break
-    return {"checked": len(relation_words(n)), "failures": failures, "ok": not failures}
 
 
 # -- exact volume arithmetic ----------------------------------------

@@ -22,13 +22,11 @@ __all__ = [
     "build_graph",
     "bfs_distances",
     "bfs_distance",
-    "all_pairs",
     "distance_formula",
     "diameter",
     "bfs_diameter",
     "antipode",
     "sign",
-    "bipartition_check",
     "shortest_representatives",
     "wrap_edges",
     "export_dot",
@@ -129,10 +127,6 @@ def bfs_distance(g: FlipGraph, u: Rep, v: Rep) -> int:
     return bfs_distances(g, g.index[u])[g.index[v]]
 
 
-def all_pairs(g: FlipGraph) -> list[list[int]]:
-    return [bfs_distances(g, u) for u in range(len(g.vertices))]
-
-
 def distance_formula(r: Rep, s: Rep, n: int) -> int:
     """Exact flip distance between two representatives, n >= 3.
 
@@ -167,7 +161,8 @@ def diameter(n: int) -> int:
 
 
 def bfs_diameter(g: FlipGraph) -> int:
-    return max(max(row) for row in all_pairs(g))
+    """Largest eccentricity, one BFS source at a time."""
+    return max(max(bfs_distances(g, u)) for u in range(len(g.vertices)))
 
 
 def formula_scan_diameter(n: int) -> int:
@@ -201,22 +196,6 @@ def antipode(r: Rep, n: int, kind: str = "color_reversal") -> Rep:
 def sign(r: Rep) -> int:
     """+1 on even-length representatives, -1 on odd ones."""
     return -1 if reps.rep_length(r) % 2 else 1
-
-
-def bipartition_check(g: FlipGraph) -> dict:
-    """Every edge must join opposite signs, with equal class sizes."""
-    bad = [
-        (g.vertices[u], g.vertices[v])
-        for u, v, _ in g.edges
-        if sign(g.vertices[u]) == sign(g.vertices[v])
-    ]
-    plus = sum(1 for r in g.vertices if sign(r) == 1)
-    minus = len(g.vertices) - plus
-    return {
-        "monochromatic_edges": bad,
-        "class_sizes": (plus, minus),
-        "ok": not bad and plus == minus,
-    }
 
 
 # -- shortest coset representatives ---------------------------------

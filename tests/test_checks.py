@@ -2,7 +2,7 @@
 
 import pytest
 
-from tftflip import checks, flipgraph
+from tftflip import checks, coxeter, flipgraph
 from tftflip import representatives as reps
 
 
@@ -78,6 +78,31 @@ def test_order_checks_catch_a_wrong_order(monkeypatch, check, pair):
     ok, detail = check(N)
     assert not ok
     assert detail.endswith(f"at {pair[0]}, {pair[1]}")
+
+
+def test_relations_catches_a_non_relation(monkeypatch):
+    relation_words = coxeter.relation_words
+    # the braid at the end has order 4, so (s_0 s_1)^2 is not the identity
+    monkeypatch.setattr(
+        coxeter, "relation_words", lambda n: relation_words(n) + [("(s0 s1)^2", (0, 1) * 2)]
+    )
+    assert checks.check_relations(N) == (
+        False, "(s0 s1)^2 not the identity map; (s0 s1)^2 moves vector 0:000"
+    )
+
+
+def test_stabilizer_catches_a_short_orbit(monkeypatch):
+    monkeypatch.setattr(coxeter, "orbit_of_base", lambda n: {coxeter.base_vector(n)})
+    assert checks.check_stabilizer(N) == (
+        False, "orbit 1 (expected 56); generators not fixing base: []"
+    )
+
+
+def test_bipartition_catches_a_wrong_sign(monkeypatch):
+    monkeypatch.setattr(flipgraph, "sign", lambda r: 1)
+    assert checks.check_bipartition(N) == (
+        False, "84 monochromatic edges, classes (56, 0)"
+    )
 
 
 def test_graph_suite_is_capped_at_n12():

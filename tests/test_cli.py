@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from tftflip.cli import main
+from tftflip.geometry import enumerate_ctft
 
 
 def run(capsys, *argv):
@@ -29,6 +31,26 @@ class TestCount:
         code, out, _ = run(capsys, "count", "-n", "1")
         assert code == 0
         assert out == "CTFT=10 TFT=5\n"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_form_matches_enumeration(self, capsys, n):
+        total = len(enumerate_ctft(n))
+        code, out, _ = run(capsys, "count", "-n", str(n))
+        assert code == 0
+        assert out == f"CTFT={total} TFT={total // 2}\n"
+
+    def test_large_n_answers_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "-n", "40")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == f"CTFT={44 * 2**40} TFT={22 * 2**40}\n"
+
+    def test_above_cap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "-n", "10001"])
+        assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
 
 
 class TestDistance:
@@ -78,6 +100,21 @@ class TestDiameter:
         code, out, _ = run(capsys, "diameter", "-n", "4", "--verify", "formula-scan")
         assert code == 0
         assert out == "20 verified\n"
+
+    def test_verified_n7(self, capsys):
+        code, out, _ = run(capsys, "diameter", "-n", "7", "--verify", "bfs")
+        assert code == 0
+        assert out == "44 verified\n"
+
+    @pytest.mark.parametrize("method, n", [("bfs", 10), ("formula-scan", 9)])
+    def test_verify_above_the_check_cap(self, capsys, method, n):
+        # the registry caps the oracle; nothing is built or scanned
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["diameter", "-n", str(n), "--verify", method])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
 
     def test_n_too_small(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tftflip.checks import check_relations, check_stabilizer
 from tftflip.coxeter import (
     AffineMap,
     act_on_phi,
@@ -17,8 +18,6 @@ from tftflip.coxeter import (
     orbit_of_base,
     parse_word,
     relation_words,
-    verify_relations,
-    verify_stabilizer,
     word_to_affine,
 )
 from tftflip.geometry import PhiVector, all_phi_vectors, phi_inv
@@ -77,8 +76,8 @@ class TestAffineMap:
 class TestRelations:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_all_relations_hold(self, n):
-        report = verify_relations(n)
-        assert report["ok"], report["failures"]
+        ok, detail = check_relations(n)
+        assert ok, detail
 
     def test_relation_count(self):
         # n+1 involutions, C(n,2) commutations minus adjacents, braids
@@ -180,8 +179,8 @@ class TestLengthAgainstGroupBFS:
 class TestStabilizer:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_generators_fix_base_and_orbit_is_full(self, n):
-        report = verify_stabilizer(n)
-        assert report["ok"], report
+        ok, detail = check_stabilizer(n)
+        assert ok, detail
 
     def test_gn_fixes_base_but_is_not_trivial(self):
         w = gn_word(3)

@@ -8,7 +8,6 @@ from tftflip.flipgraph import (
     bfs_diameter,
     bfs_distance,
     bfs_distances,
-    bipartition_check,
     build_graph,
     diameter,
     distance_formula,
@@ -177,10 +176,10 @@ class TestBipartition:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_proper_two_coloring(self, n):
-        report = bipartition_check(build_graph(n))
-        assert report["ok"], report
+        g = build_graph(n)
+        assert all(sign(g.vertices[u]) != sign(g.vertices[v]) for u, v, _ in g.edges)
         half = (n + 4) * 2**n // 2
-        assert report["class_sizes"] == (half, half)
+        assert sum(sign(r) == 1 for r in g.vertices) == half
 
     def test_wrap_edge_changes_sign(self):
         for u, v in wrap_edges(3):
