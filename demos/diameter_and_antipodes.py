@@ -28,13 +28,13 @@ print()
 ident, top = identity_rep(n), longest_rep(n)
 print(f"distance from {ident} to {top}:")
 print(f"  closed form: {distance_formula(ident, top, n)}")
-print(f"  BFS:         {bfs_distance(g, ident, top)}")
+print(f"  BFS:         {bfs_distance(n, ident, top)}")
 print("  (the group length of the top element is "
       f"{sum((j + 1) * e for j, e in enumerate(top))}: the wrap edges "
       "are massive shortcuts)")
 print()
 
-print(f"diameter: closed form {diameter(n)}, all-pairs BFS {bfs_diameter(g)}")
+print(f"diameter: closed form {diameter(n)}, all-pairs BFS {bfs_diameter(n)}")
 print()
 
 for r in (ident, (1, 0, 1, 2)):

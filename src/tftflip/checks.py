@@ -319,13 +319,14 @@ def check_rank_polynomial(n):
 
 
 def check_graph_description(n):
-    g = flipgraph.build_graph(n)
+    rs = reps.all_reps(n)
     simple = {
-        frozenset((g.vertices[u], g.vertices[v])) for u, v, _ in g.edges
+        frozenset((rs[u], rs[v]))
+        for step in flipgraph.step_tables(n)
+        for u, v in enumerate(step)
+        if u != v
     }
-    described = {
-        frozenset((r, s)) for r in g.vertices for s in reps.covers(r, n)
-    }
+    described = {frozenset((r, s)) for r in rs for s in reps.covers(r, n)}
     described |= {frozenset(e) for e in flipgraph.wrap_edges(n)}
     if simple != described:
         extra = simple - described
@@ -343,18 +344,18 @@ def _sampled_sources(n, count, seed=0):
 
 
 def check_distance_formula(n):
-    g = flipgraph.build_graph(n)
+    steps = flipgraph.step_tables(n)
+    rs, sources = _sampled_sources(n, 20)
     if n <= 4:
-        sources = range(len(g.vertices))
+        sources = range(len(rs))
         label = "all"
     else:
-        _, sources = _sampled_sources(n, 20)
-        label = f"{len(sources) * len(g.vertices)} sampled"
+        label = f"{len(sources) * len(rs)} sampled"
     pairs = 0
     for u in sources:
-        dist = flipgraph.bfs_distances(g, u)
-        r = g.vertices[u]
-        for v, s in enumerate(g.vertices):
+        dist = flipgraph.bfs_distances(steps, u)
+        r = rs[u]
+        for v, s in enumerate(rs):
             if flipgraph.distance_formula(r, s, n) != dist[v]:
                 return False, f"formula != BFS at {r}, {s}"
             pairs += 1
@@ -362,9 +363,11 @@ def check_distance_formula(n):
 
 
 def check_diameter(n):
-    g = flipgraph.build_graph(n)
     closed = flipgraph.diameter(n)
-    by_bfs = flipgraph.bfs_diameter(g)
+    try:
+        by_bfs = flipgraph.bfs_diameter(n)
+    except RuntimeError as exc:
+        return False, str(exc)
     if by_bfs != closed:
         return False, f"BFS diameter {by_bfs} != closed form {closed}"
     return True, f"diameter {closed} confirmed by all-pairs BFS"
@@ -398,9 +401,13 @@ def check_antipodes(n):
 
 def check_bipartition(n):
     # every edge joins opposite signs, and the two classes are equal
-    g = flipgraph.build_graph(n)
-    signs = [flipgraph.sign(r) for r in g.vertices]
-    bad = sum(1 for u, v, _ in g.edges if signs[u] == signs[v])
+    signs = [flipgraph.sign(r) for r in reps.all_reps(n)]
+    bad = sum(
+        1
+        for step in flipgraph.step_tables(n)
+        for u, v in enumerate(step)
+        if u < v and signs[u] == signs[v]
+    )
     plus = signs.count(1)
     classes = (plus, len(signs) - plus)
     if bad or classes[0] != classes[1]:
@@ -409,15 +416,16 @@ def check_bipartition(n):
 
 
 def check_shortest_representatives(n):
-    g = flipgraph.build_graph(n)
-    base = flipgraph.bfs_distances(g, g.index[reps.identity_rep(n)])
+    ident = flipgraph.vertex_id(reps.identity_rep(n), n)
+    base = flipgraph.bfs_distances(flipgraph.step_tables(n), ident)
     star = coxeter.base_vector(n)
     for r, word in flipgraph.shortest_representatives(n):
         oracle = coxeter.coxeter_length(coxeter.word_to_affine(n, word))
-        if not len(word) == oracle == base[g.index[r]]:
+        distance = base[flipgraph.vertex_id(r, n)]
+        if not len(word) == oracle == distance:
             return False, (
                 f"shortest word for {r} has {len(word)} letters, length "
-                f"{oracle}, graph distance {base[g.index[r]]}"
+                f"{oracle}, graph distance {distance}"
             )
         if coxeter.act_on_phi(word, star) != reps.rep_to_phi(r, n):
             return False, f"shortest word for {r} lies in another coset"
@@ -440,15 +448,10 @@ def check_lower_bound(n):
 
 
 def check_rotation_automorphism(n):
-    g = flipgraph.build_graph(n)
-    simple = {frozenset((g.vertices[u], g.vertices[v])) for u, v, _ in g.edges}
-
-    def rot(r):
-        return r[:n] + ((r[n] + 1) % (n + 4),)
-
-    rotated = {frozenset((rot(a), rot(b))) for e in simple for a, b in [tuple(e)]}
-    if rotated != simple:
-        return False, "rotating the last exponent does not preserve edges"
+    defect = flipgraph.rotation_defect(flipgraph.step_tables(n), n)
+    if defect is not None:
+        i, v = defect
+        return False, f"rotating the last exponent does not commute with s_{i} at vertex {v}"
     return True, "right multiplication by a_n is a graph automorphism"
 
 
@@ -474,10 +477,13 @@ SUITES: list[Check] = [
     Check("duality", "lattice", 4, check_duality),
     Check("rank-polynomial", "lattice", 6, check_rank_polynomial),
     Check("graph-description", "graph", 5, check_graph_description),
-    Check("distance-formula", "graph", 6, check_distance_formula, min_n=3),
-    # one streamed BFS per vertex: 3.8 s at n = 8, 19 s at n = 9,
-    # 133 s at n = 10, under 40 MiB
-    Check("diameter-bfs", "graph", 9, check_diameter, min_n=3),
+    # 20 BFS sources over the step tables: 5.7 s at n = 11, 14 s at
+    # n = 12, 32 s at n = 13, under 50 MiB; held below 12, where the
+    # whole graph suite is skipped
+    Check("distance-formula", "graph", 11, check_distance_formula, min_n=3),
+    # one BFS per rotation orbit: 4.0 s at n = 9, 20 s at n = 10,
+    # 108 s at n = 11, under 25 MiB
+    Check("diameter-bfs", "graph", 10, check_diameter, min_n=3),
     # one formula call per pair: 13 s at n = 8, 64 s at n = 9
     Check("diameter-scan", "graph", 8, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),

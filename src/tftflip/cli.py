@@ -66,8 +66,7 @@ def cmd_distance(args) -> int:
     if method in ("formula", "both"):
         results["formula"] = flipgraph.distance_formula(r, s, n)
     if method in ("bfs", "both"):
-        g = flipgraph.build_graph(n)
-        results["bfs"] = flipgraph.bfs_distance(g, r, s)
+        results["bfs"] = flipgraph.bfs_distance(n, r, s)
     if method == "both":
         if results["formula"] != results["bfs"]:
             return _fail(

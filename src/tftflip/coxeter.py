@@ -110,13 +110,10 @@ class AffineMap:
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self . other)(x) = self(other(x))."""
-        cols = tuple(other.cols[c] for c in self.cols)
-        signs = tuple(s * other.signs[c] for s, c in zip(self.signs, self.cols))
-        shift = tuple(
-            s * other.shift[c] + t
-            for s, c, t in zip(self.signs, self.cols, self.shift)
+        fields = _product(
+            (self.cols, self.signs, self.shift), (other.cols, other.signs, other.shift)
         )
-        return AffineMap(self.n, cols, signs, shift)
+        return AffineMap(self.n, *fields)
 
     def inverse(self) -> "AffineMap":
         cols = [0] * self.n
@@ -142,14 +139,30 @@ class AffineMap:
         )
 
 
+def _product(outer: tuple, inner: tuple) -> tuple:
+    """The fields (cols, signs, shift) of ``outer`` after ``inner``,
+    both given by their fields; the result is not validated."""
+    (cols, signs, shift), (inner_cols, inner_signs, inner_shift) = outer, inner
+    return (
+        tuple(inner_cols[c] for c in cols),
+        tuple(s * inner_signs[c] for s, c in zip(signs, cols)),
+        tuple(s * inner_shift[c] + t for s, c, t in zip(signs, cols, shift)),
+    )
+
+
 def word_to_affine(n: int, word: Sequence[int]) -> AffineMap:
-    """Product of generator maps, leftmost letter outermost."""
+    """Product of generator maps, leftmost letter outermost.
+
+    The partial products skip validation; the finished map is
+    validated once.
+    """
     _check_word(word, n)
     generators = [AffineMap.generator(n, i) for i in range(n + 1)]
-    m = AffineMap.identity(n)
+    letters = [(g.cols, g.signs, g.shift) for g in generators]
+    m = (tuple(range(n)), (1,) * n, (0,) * n)  # the identity
     for letter in word:
-        m = m.compose(generators[letter])
-    return m
+        m = _product(m, letters[letter])
+    return AffineMap(n, *m)
 
 
 # -- action on phi vectors ------------------------------------------

@@ -1,18 +1,22 @@
 """The colored flip graph as a Schreier graph on representatives.
 
-Vertices are the exponent-vector representatives in lexicographic
-order; a generator that moves a vertex to a different coset contributes
-a colored edge.  The simple underlying graph is the Hasse diagram of
-the dominance lattice plus one "wrap" edge per choice of the first n-1
-bits, and carries an exact distance formula and closed-form diameter,
-both cross-checked against breadth-first search.
+A vertex is an exponent-vector representative, and its id is its index
+in the lexicographic order of ``all_reps(n)``: bits * (n+4) + e_n, where
+bits reads e_0 .. e_{n-1} with e_0 the most significant bit.  The graph
+is one step table per generator color, ``steps[i][v]`` the id of s_i v,
+built by bit operations on ids; a generator that fixes a vertex maps it
+to itself and contributes no edge.  The simple underlying graph is the
+Hasse diagram of the dominance lattice plus one "wrap" edge per choice
+of the first n-1 bits, and carries an exact distance formula and
+closed-form diameter, both cross-checked against breadth-first search
+over the tables.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from . import representatives as reps
 from .representatives import Rep
@@ -20,6 +24,9 @@ from .representatives import Rep
 __all__ = [
     "FlipGraph",
     "build_graph",
+    "step_tables",
+    "vertex_id",
+    "rotation_defect",
     "bfs_distances",
     "bfs_distance",
     "distance_formula",
@@ -35,61 +42,85 @@ __all__ = [
 ]
 
 
-# Peak RSS of build_graph about doubles per step of n: 112 MiB at
-# n = 12, 464 MiB (and 30 s) at n = 14, so n = 20 would need ~30 GiB.
+# The step tables take 4 bytes per vertex and color (18 MiB at n = 14).
+# Peak RSS of build_graph about doubles per step of n: 50 MiB at
+# n = 12, 190 MiB (and 1.4 s) at n = 14, so n = 20 would need ~12 GiB.
 MAX_GRAPH_N = 14
 
 
 @dataclass(frozen=True)
 class FlipGraph:
-    """Schreier graph on the (n+4)*2^n coset representatives.
-
-    ``edges`` keeps the generator colors; ``adjacency`` is the simple
-    underlying graph used for all metrics.  A generator that fixes a
-    vertex contributes no edge, so the colors missing at a vertex are
-    exactly its fixed generators.
-    """
+    """Export view of the flip graph: the (n+4)*2^n representatives in
+    id order and the sorted colored edges."""
 
     n: int
     vertices: tuple[Rep, ...]
-    index: dict[Rep, int] = field(hash=False)
     edges: tuple[tuple[int, int, int], ...]  # (u, v, color), u < v
-    adjacency: tuple[tuple[int, ...], ...] = field(hash=False)
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
 
 
 def build_graph(n: int) -> FlipGraph:
-    """Materialize the flip graph by sweeping every generator over
-    every vertex.  Bounded by ``MAX_GRAPH_N`` to fit in memory."""
+    """The export view, read off the step tables."""
+    steps = step_tables(n)
+    ids = list(range(len(steps[0])))  # the edges share one int per id
+    edges = sorted(
+        (u, ids[v], i) for i, step in enumerate(steps) for u, v in zip(ids, step) if u < v
+    )
+    return FlipGraph(n, tuple(reps.all_reps(n)), tuple(edges))
+
+
+def step_tables(n: int) -> list[array]:
+    """One table per generator color: ``steps[i][v]`` is the id of s_i v.
+
+    s_0 toggles e_0, the top bit of the id's bits; s_i for 0 < i < n
+    swaps e_{i-1} and e_i when they differ; s_n toggles e_{n-1}, the
+    low bit, and steps e_n by +1 when it clears the bit and by -1 when
+    it sets it, modulo n+4.  Bounded by ``MAX_GRAPH_N`` to fit in memory.
+    """
     if not 2 <= n <= MAX_GRAPH_N:
         raise ValueError(f"graph construction supports 2 <= n <= {MAX_GRAPH_N}")
-    vertices = tuple(reps.all_reps(n))
-    index = {r: i for i, r in enumerate(vertices)}
-    edges = set()
-    for u, r in enumerate(vertices):
-        for i in range(n + 1):
-            res = reps.apply_generator(i, r, n)
-            if res.moved:
-                v = index[res.rep]
-                edges.add((min(u, v), max(u, v), i))
-    return _graph(n, vertices, index, edges)
+    m = n + 4
+    steps = []
+    for i in range(n + 1):
+        step = array("i")
+        for bits in range(1 << n):
+            if i == n:
+                start = (bits ^ 1) * m
+                turn = 1 if bits & 1 else m - 1
+                step.extend(start + (e + turn) % m for e in range(m))
+                continue
+            low = n - 1 - i  # the bit of e_i; e_{i-1} sits one above it
+            if i == 0:
+                other = bits ^ (1 << low)
+            elif (bits >> low ^ bits >> (low + 1)) & 1:
+                other = bits ^ (3 << low)
+            else:
+                other = bits
+            step.extend(range(other * m, other * m + m))
+        steps.append(step)
+    return steps
 
 
-def _graph(n: int, vertices: tuple[Rep, ...], index: dict[Rep, int], edges) -> FlipGraph:
-    """The one constructor: sorted colored edges plus adjacency."""
-    adjacency = [set() for _ in vertices]
-    for u, v, _ in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return FlipGraph(
-        n=n,
-        vertices=vertices,
-        index=index,
-        edges=tuple(sorted(edges)),
-        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
-    )
+def vertex_id(r: Rep, n: int) -> int:
+    """The index of ``r`` in ``all_reps(n)``."""
+    reps.check_rep(r, n)
+    bits = 0
+    for e in r[:n]:
+        bits = bits << 1 | e
+    return bits * (n + 4) + r[n]
+
+
+def rotation_defect(steps: list[array], n: int) -> tuple[int, int] | None:
+    """The first (color, id) at which stepping e_n by +1 modulo n+4
+    does not commute with the step table, or None when the rotation is
+    an automorphism of the colored graph."""
+    m = n + 4
+    rot = [v + 1 if v % m < m - 1 else v + 1 - m for v in range(len(steps[0]))]
+    for i, step in enumerate(steps):
+        after = [step[v] for v in rot]
+        before = [rot[v] for v in step]
+        if after != before:
+            return i, next(v for v, (a, b) in enumerate(zip(after, before)) if a != b)
+    return None
 
 
 def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
@@ -108,23 +139,31 @@ def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
 # -- metrics --------------------------------------------------------
 
 
-def bfs_distances(g: FlipGraph, source: int) -> list[int]:
-    dist = [-1] * len(g.vertices)
+def bfs_distances(steps: list[array], source: int) -> list[int]:
+    """Distances from id ``source`` to every id, by breadth-first
+    search over the step tables."""
+    dist = [-1] * len(steps[0])  # a list indexes faster than array("h")
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for step in steps:
+            for u in frontier:
+                v = step[u]
+                if dist[v] < 0:
+                    dist[v] = d
+                    reached.append(v)
+        frontier = reached
     if min(dist) < 0:
         raise RuntimeError("flip graph is disconnected: invariant violated")
     return dist
 
 
-def bfs_distance(g: FlipGraph, u: Rep, v: Rep) -> int:
-    return bfs_distances(g, g.index[u])[g.index[v]]
+def bfs_distance(n: int, r: Rep, s: Rep) -> int:
+    """Flip distance from ``r`` to ``s`` by one breadth-first search."""
+    return bfs_distances(step_tables(n), vertex_id(r, n))[vertex_id(s, n)]
 
 
 def distance_formula(r: Rep, s: Rep, n: int) -> int:
@@ -160,9 +199,20 @@ def diameter(n: int) -> int:
     return (n + 1) * (n + 4) // 2
 
 
-def bfs_diameter(g: FlipGraph) -> int:
-    """Largest eccentricity, one BFS source at a time."""
-    return max(max(bfs_distances(g, u)) for u in range(len(g.vertices)))
+def bfs_diameter(n: int) -> int:
+    """Largest eccentricity over all vertices.
+
+    Rotating e_n is first checked to be an automorphism of the colored
+    graph, so one BFS source per rotation orbit, the vertices with
+    e_n = 0, reaches every eccentricity.
+    """
+    steps = step_tables(n)
+    defect = rotation_defect(steps, n)
+    if defect is not None:
+        raise RuntimeError(
+            f"rotating e_n does not commute with s_{defect[0]} at vertex {defect[1]}"
+        )
+    return max(max(bfs_distances(steps, u)) for u in range(0, len(steps[0]), n + 4))
 
 
 def formula_scan_diameter(n: int) -> int:
@@ -295,8 +345,7 @@ def graph_from_json(text: str) -> FlipGraph:
     vertices = tuple(
         reps.parse_rep(_field(rec, "rep", str), n) for rec in _field(doc, "vertices", list)
     )
-    index = {r: i for i, r in enumerate(vertices)}
-    if len(index) != len(vertices):
+    if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate vertices")
     edges = []
     for e in _field(doc, "edges", list):
@@ -304,7 +353,7 @@ def graph_from_json(text: str) -> FlipGraph:
         if not (0 <= u < v < len(vertices) and 0 <= color <= n):
             raise ValueError(f"edge {e} out of range for {len(vertices)} vertices, n={n}")
         edges.append((u, v, color))
-    return _graph(n, vertices, index, edges)
+    return FlipGraph(n, vertices, tuple(sorted(edges)))
 
 
 def write_export(g: FlipGraph, fmt: str, path: str) -> None:

@@ -97,17 +97,18 @@ def test_criterion_09_distance():
     for n in (3, 4):  # all pairs
         results.append((n, *checks.check_distance_formula(n)))
     for n in (5, 6):  # >= 10^4 random pairs
-        g = flipgraph.build_graph(n)
+        steps = flipgraph.step_tables(n)
+        rs = reps.all_reps(n)
         rng = random.Random(100 + n)
         pairs = 0
         ok, detail = True, ""
         by_source = {}
         while pairs < 10_000 and ok:
-            u = rng.randrange(len(g.vertices))
-            v = rng.randrange(len(g.vertices))
+            u = rng.randrange(len(rs))
+            v = rng.randrange(len(rs))
             if u not in by_source:
-                by_source[u] = flipgraph.bfs_distances(g, u)
-            r, s = g.vertices[u], g.vertices[v]
+                by_source[u] = flipgraph.bfs_distances(steps, u)
+            r, s = rs[u], rs[v]
             if flipgraph.distance_formula(r, s, n) != by_source[u][v]:
                 ok, detail = False, f"formula != BFS at {r}, {s}"
             pairs += 1

@@ -105,6 +105,47 @@ def test_bipartition_catches_a_wrong_sign(monkeypatch):
     )
 
 
+def broken_tables(monkeypatch, breakage):
+    """Make ``flipgraph.step_tables`` return tables changed by ``breakage``."""
+    step_tables = flipgraph.step_tables
+
+    def patched(n):
+        steps = step_tables(n)
+        breakage(steps, n)
+        return steps
+
+    monkeypatch.setattr(flipgraph, "step_tables", patched)
+
+
+def join_fixed_vertices(steps, n):
+    # s_1 fixes ids 0 and n+4 (bits 0...0 and 0...01, e_n = 0); an s_1
+    # edge between them has no rotated copy at ids 1 and n+5
+    steps[1][0], steps[1][n + 4] = n + 4, 0
+
+
+@pytest.mark.parametrize(
+    "check", [checks.check_diameter, checks.check_rotation_automorphism]
+)
+def test_graph_checks_catch_a_table_without_rotation_symmetry(monkeypatch, check):
+    assert check(N)[0]
+    broken_tables(monkeypatch, join_fixed_vertices)
+    ok, detail = check(N)
+    assert not ok
+    assert detail.endswith("does not commute with s_1 at vertex 0")
+
+
+def test_distance_formula_catches_one_wrong_partner(monkeypatch):
+    top = flipgraph.vertex_id(TOP, N)  # distance 4 from the bottom, id 0
+
+    def shortcut(steps, n):
+        steps[0][0] = top
+
+    broken_tables(monkeypatch, shortcut)
+    ok, detail = checks.check_distance_formula(N)
+    assert not ok
+    assert detail.startswith(f"formula != BFS at {BOTTOM}, ")
+
+
 def test_graph_suite_is_capped_at_n12():
     # the graph oracles would take hours at n = 12
     rows = list(checks.run_suite(12, "graph"))

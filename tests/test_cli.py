@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from tftflip.checks import SUITES
 from tftflip.cli import main
 from tftflip.geometry import enumerate_ctft
+
+CAPS = {check.name: check.max_n for check in SUITES}
 
 
 def run(capsys, *argv):
@@ -78,6 +81,16 @@ class TestDistance:
         assert code == 0
         assert out.strip().isdigit()
 
+    def test_both_methods_at_n12_within_seconds(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "distance", "-n", "12",
+            "--from", "0,0,0,0,0,0,0,0,0,0,0,0,0", "--to", "1,0,1,1,0,0,1,0,1,1,1,0,9",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert out.endswith(" (formula=bfs)\n")
+
     def test_malformed_rep_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["distance", "-n", "3", "--from", "2,0,0,0", "--to", "0,0,0,0"])
@@ -106,7 +119,10 @@ class TestDiameter:
         assert code == 0
         assert out == "44 verified\n"
 
-    @pytest.mark.parametrize("method, n", [("bfs", 10), ("formula-scan", 9)])
+    @pytest.mark.parametrize(
+        "method, n",
+        [("bfs", CAPS["diameter-bfs"] + 1), ("formula-scan", CAPS["diameter-scan"] + 1)],
+    )
     def test_verify_above_the_check_cap(self, capsys, method, n):
         # the registry caps the oracle; nothing is built or scanned
         start = time.perf_counter()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter, deque
 
 import pytest
 
@@ -15,8 +16,11 @@ from tftflip.flipgraph import (
     export_json,
     formula_scan_diameter,
     graph_from_json,
+    rotation_defect,
     shortest_representatives,
     sign,
+    step_tables,
+    vertex_id,
     wrap_edges,
 )
 from tftflip.geometry import phi_inv
@@ -35,6 +39,46 @@ def fixed_generators(r, n):
     return [i for i in range(n + 1) if not apply_generator(i, r, n).moved]
 
 
+# -- reference graph, kept apart from the library's step tables ------
+
+
+def reference_steps(n):
+    """``steps[i][u]``, the index of s_i u, by sweeping the public
+    ``apply_generator`` over every vertex through an index dict."""
+    vertices = all_reps(n)
+    index = {r: u for u, r in enumerate(vertices)}
+    return [[index[apply_generator(i, r, n).rep] for r in vertices] for i in range(n + 1)]
+
+
+def reference_edges(ref):
+    """The colored edges (u, v, color), u < v, of a reference table."""
+    return {
+        (min(u, v), max(u, v), i)
+        for i, step in enumerate(ref)
+        for u, v in enumerate(step)
+        if u != v
+    }
+
+
+def reference_bfs(ref, source):
+    """Queue-driven breadth-first search over the sorted adjacency of
+    the reference edges."""
+    neighbours = [set() for _ in ref[0]]
+    for u, v, _ in reference_edges(ref):
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    dist = [-1] * len(ref[0])
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(neighbours[u]):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 @pytest.fixture(scope="module")
 def g3():
     return build_graph(3)
@@ -45,8 +89,9 @@ class TestStructure:
         assert len(g3.vertices) == 56
 
     def test_degrees(self, g3):
+        degree = Counter(w for u, v, _ in g3.edges for w in (u, v))
         for u, r in enumerate(g3.vertices):
-            assert g3.degree(u) + len(fixed_generators(r, 3)) == 4
+            assert degree[u] + len(fixed_generators(r, 3)) == 4
 
     def test_loops_are_equal_adjacent_bits(self, g3):
         colors = [set() for _ in g3.vertices]
@@ -74,8 +119,12 @@ class TestStructure:
         assert ((0, 0, 0, 0), (0, 0, 1, 6)) in wrap_edges(3)
         assert len(wrap_edges(3)) == 4
 
-    def test_connected(self, g3):
-        bfs_distances(g3, 0)  # raises if disconnected
+    def test_connected(self):
+        bfs_distances(step_tables(3), 0)  # raises if disconnected
+        steps = step_tables(3)
+        steps[0] = steps[1]  # no generator changes e_0 any more
+        with pytest.raises(RuntimeError):
+            bfs_distances(steps, 0)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -84,11 +133,48 @@ class TestStructure:
             build_graph(25)
 
 
+class TestStepTables:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_tables_equal_the_generator_sweep(self, n):
+        assert [list(step) for step in step_tables(n)] == reference_steps(n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_export_edges_equal_the_generator_sweep(self, n):
+        assert build_graph(n).edges == tuple(sorted(reference_edges(reference_steps(n))))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bfs_equals_reference_bfs(self, n):
+        steps, ref = step_tables(n), reference_steps(n)
+        sources = range(len(ref[0]))
+        if n >= 6:
+            sources = random.Random(n).sample(sources, 4)
+        eccentricities = []
+        for u in sources:
+            dist = bfs_distances(steps, u)
+            assert dist == reference_bfs(ref, u)
+            eccentricities.append(max(dist))
+        if n <= 5:
+            # every source ran: the orbit sources must find the same maximum
+            assert bfs_diameter(n) == max(eccentricities)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_vertex_id_is_the_lex_index(self, n):
+        assert [vertex_id(r, n) for r in all_reps(n)] == list(range((n + 4) * 2**n))
+
+    def test_rotation_defect(self):
+        steps = step_tables(4)
+        assert rotation_defect(steps, 4) is None
+        # s_2 fixes ids 0 and 8 (bits 0000 and 0001, e_4 = 0); join
+        # them by an s_2 edge that the rotated vertices 1 and 9 lack
+        steps[2][0], steps[2][8] = 8, 0
+        assert rotation_defect(steps, 4) == (2, 0)
+
+
 class TestDistance:
     def test_examples(self, g3):
         ident = identity_rep(3)
         assert distance_formula(ident, longest_rep(3), 3) == 4
-        assert bfs_distance(g3, ident, longest_rep(3)) == 4
+        assert bfs_distance(3, ident, longest_rep(3)) == 4
         assert distance_formula(ident, (1, 1, 1, 2), 3) == 14
         assert distance_formula(ident, ident, 3) == 0
         assert distance_formula(ident, (1, 0, 0, 0), 3) == 1
@@ -102,19 +188,19 @@ class TestDistance:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_bfs_everywhere(self, n):
-        g = build_graph(n)
-        for u, r in enumerate(g.vertices):
-            dist = bfs_distances(g, u)
-            for v, s in enumerate(g.vertices):
+        steps, rs = step_tables(n), all_reps(n)
+        for u, r in enumerate(rs):
+            dist = bfs_distances(steps, u)
+            for v, s in enumerate(rs):
                 assert distance_formula(r, s, n) == dist[v]
 
     def test_n5_sampled(self):
-        g = build_graph(5)
+        steps, rs = step_tables(5), all_reps(5)
         rng = random.Random(11)
-        for u in rng.sample(range(len(g.vertices)), 10):
-            dist = bfs_distances(g, u)
-            r = g.vertices[u]
-            for v, s in enumerate(g.vertices):
+        for u in rng.sample(range(len(rs)), 10):
+            dist = bfs_distances(steps, u)
+            r = rs[u]
+            for v, s in enumerate(rs):
                 assert distance_formula(r, s, 5) == dist[v]
 
     def test_requires_n3(self):
@@ -128,7 +214,7 @@ class TestDiameter:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_bfs_agrees(self, n):
-        assert bfs_diameter(build_graph(n)) == diameter(n)
+        assert bfs_diameter(n) == diameter(n)
 
     def test_formula_scan_agrees(self):
         assert formula_scan_diameter(3) == 14
@@ -190,10 +276,9 @@ class TestBipartition:
 class TestShortestRepresentatives:
     @pytest.mark.parametrize("n", [3, 4])
     def test_word_lengths_equal_graph_distance(self, n):
-        g = build_graph(n)
-        dist = bfs_distances(g, g.index[identity_rep(n)])
+        dist = bfs_distances(step_tables(n), vertex_id(identity_rep(n), n))
         for r, word in shortest_representatives(n):
-            assert len(word) == dist[g.index[r]]
+            assert len(word) == dist[vertex_id(r, n)]
             assert coxeter_length(word_to_affine(n, word)) == len(word)
 
     def test_words_represent_their_coset(self):
