@@ -11,17 +11,19 @@ from tftflip.flipgraph import (
     bfs_diameter,
     bfs_distance,
     build_graph,
+    colored_edges,
     diameter,
     distance_formula,
-    export_dot,
     wrap_edges,
+    write_export,
 )
 from tftflip.representatives import identity_rep, longest_rep
 
 n = 3
 
 g = build_graph(n)
-print(f"flip graph on {len(g.vertices)} vertices, {len(g.edges)} colored edges")
+print(f"flip graph on {len(g.steps[0])} vertices, "
+      f"{sum(1 for _ in colored_edges(g))} colored edges")
 print(f"wrap edges (through the stabilizer): {sorted(wrap_edges(n))[:2]} ...")
 print()
 
@@ -43,6 +45,5 @@ for r in (ident, (1, 0, 1, 2)):
           f"at distance {distance_formula(r, a, n)}")
 print()
 
-with open(f"flipgraph_n{n}.dot", "w") as fh:
-    fh.write(export_dot(g))
+write_export(g, "dot", f"flipgraph_n{n}.dot")
 print(f"wrote flipgraph_n{n}.dot (render with graphviz: neato -Tsvg ...)")

@@ -89,10 +89,10 @@ def check_flip_involution(n):
 
 
 def check_relations(n):
-    # each relation as an affine-map identity and, for n <= 6, as the
-    # identity action on every phi vector
+    # each relation as an affine-map identity and as the identity
+    # action on every phi vector
     rels = coxeter.relation_words(n)
-    vectors = geometry.all_phi_vectors(n) if n <= 6 else []
+    vectors = geometry.all_phi_vectors(n)
     failures = []
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
@@ -320,12 +320,8 @@ def check_rank_polynomial(n):
 
 def check_graph_description(n):
     rs = reps.all_reps(n)
-    simple = {
-        frozenset((rs[u], rs[v]))
-        for step in flipgraph.step_tables(n)
-        for u, v in enumerate(step)
-        if u != v
-    }
+    edges = flipgraph.colored_edges(flipgraph.build_graph(n))
+    simple = {frozenset((rs[u], rs[v])) for u, v, _ in edges}
     described = {frozenset((r, s)) for r in rs for s in reps.covers(r, n)}
     described |= {frozenset(e) for e in flipgraph.wrap_edges(n)}
     if simple != described:
@@ -344,7 +340,7 @@ def _sampled_sources(n, count, seed=0):
 
 
 def check_distance_formula(n):
-    steps = flipgraph.step_tables(n)
+    g = flipgraph.build_graph(n)
     rs, sources = _sampled_sources(n, 20)
     if n <= 4:
         sources = range(len(rs))
@@ -353,7 +349,7 @@ def check_distance_formula(n):
         label = f"{len(sources) * len(rs)} sampled"
     pairs = 0
     for u in sources:
-        dist = flipgraph.bfs_distances(steps, u)
+        dist = flipgraph.bfs_distances(g, u)
         r = rs[u]
         for v, s in enumerate(rs):
             if flipgraph.distance_formula(r, s, n) != dist[v]:
@@ -402,12 +398,8 @@ def check_antipodes(n):
 def check_bipartition(n):
     # every edge joins opposite signs, and the two classes are equal
     signs = [flipgraph.sign(r) for r in reps.all_reps(n)]
-    bad = sum(
-        1
-        for step in flipgraph.step_tables(n)
-        for u, v in enumerate(step)
-        if u < v and signs[u] == signs[v]
-    )
+    edges = flipgraph.colored_edges(flipgraph.build_graph(n))
+    bad = sum(signs[u] == signs[v] for u, v, _ in edges)
     plus = signs.count(1)
     classes = (plus, len(signs) - plus)
     if bad or classes[0] != classes[1]:
@@ -417,7 +409,7 @@ def check_bipartition(n):
 
 def check_shortest_representatives(n):
     ident = flipgraph.vertex_id(reps.identity_rep(n), n)
-    base = flipgraph.bfs_distances(flipgraph.step_tables(n), ident)
+    base = flipgraph.bfs_distances(flipgraph.build_graph(n), ident)
     star = coxeter.base_vector(n)
     for r, word in flipgraph.shortest_representatives(n):
         oracle = coxeter.coxeter_length(coxeter.word_to_affine(n, word))
@@ -448,7 +440,7 @@ def check_lower_bound(n):
 
 
 def check_rotation_automorphism(n):
-    defect = flipgraph.rotation_defect(flipgraph.step_tables(n), n)
+    defect = flipgraph.rotation_defect(flipgraph.build_graph(n))
     if defect is not None:
         i, v = defect
         return False, f"rotating the last exponent does not commute with s_{i} at vertex {v}"

@@ -19,7 +19,6 @@ in integer arithmetic on an interior point scaled by n+1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,6 @@ __all__ = [
     "orbit_of_base",
     "relation_words",
     "gram_and_volumes",
-    "parse_word",
     "format_word",
 ]
 
@@ -54,11 +52,6 @@ def _check_word(word: Sequence[int], n: int) -> None:
     for letter in word:
         if not 0 <= letter <= n:
             raise ValueError(f"letter {letter} out of range 0..{n}")
-
-
-def parse_word(text: str) -> tuple[int, ...]:
-    """Parse the space-separated text form, e.g. ``3 2 1 0``."""
-    return tuple(int(tok) for tok in text.split())
 
 
 def format_word(word: Sequence[int]) -> str:
@@ -132,11 +125,6 @@ class AffineMap:
 
     def is_identity(self) -> bool:
         return self == AffineMap.identity(self.n)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"perm": list(self.cols), "signs": list(self.signs), "trans": list(self.shift)}
-        )
 
 
 def _product(outer: tuple, inner: tuple) -> tuple:

@@ -14,9 +14,8 @@ over the tables.
 
 from __future__ import annotations
 
-import json
 from array import array
-from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from . import representatives as reps
 from .representatives import Rep
@@ -24,8 +23,9 @@ from .representatives import Rep
 __all__ = [
     "FlipGraph",
     "build_graph",
-    "step_tables",
     "vertex_id",
+    "vertex_rep",
+    "colored_edges",
     "rotation_defect",
     "bfs_distances",
     "bfs_distance",
@@ -36,40 +36,30 @@ __all__ = [
     "sign",
     "shortest_representatives",
     "wrap_edges",
-    "export_dot",
-    "export_json",
-    "graph_from_json",
+    "dot_lines",
+    "json_lines",
+    "write_export",
 ]
 
 
-# The step tables take 4 bytes per vertex and color (18 MiB at n = 14).
-# Peak RSS of build_graph about doubles per step of n: 50 MiB at
-# n = 12, 190 MiB (and 1.4 s) at n = 14, so n = 20 would need ~12 GiB.
+# The step tables take 4 bytes per vertex and color (18 MiB at n = 14),
+# and the exports stream from them.  Measured at n = 14, one process each
+# (2 vCPU, Python 3.11): build_graph 0.4 s / 33 MiB; tft graph --format
+# json 4.7 s / 35 MiB for a 98 MB file, --format dot 2.4 s / 59 MiB (it
+# keeps one label per vertex).  Time, file and labels double per step
+# of n, so n = 20 would write a JSON file of over 6 GB.
 MAX_GRAPH_N = 14
 
 
-@dataclass(frozen=True)
-class FlipGraph:
-    """Export view of the flip graph: the (n+4)*2^n representatives in
-    id order and the sorted colored edges."""
+class FlipGraph(NamedTuple):
+    """The flip graph: ``steps[i][v]`` is the id of s_i v."""
 
     n: int
-    vertices: tuple[Rep, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, color), u < v
+    steps: list[array]
 
 
 def build_graph(n: int) -> FlipGraph:
-    """The export view, read off the step tables."""
-    steps = step_tables(n)
-    ids = list(range(len(steps[0])))  # the edges share one int per id
-    edges = sorted(
-        (u, ids[v], i) for i, step in enumerate(steps) for u, v in zip(ids, step) if u < v
-    )
-    return FlipGraph(n, tuple(reps.all_reps(n)), tuple(edges))
-
-
-def step_tables(n: int) -> list[array]:
-    """One table per generator color: ``steps[i][v]`` is the id of s_i v.
+    """One step table per generator color, built on ids.
 
     s_0 toggles e_0, the top bit of the id's bits; s_i for 0 < i < n
     swaps e_{i-1} and e_i when they differ; s_n toggles e_{n-1}, the
@@ -97,7 +87,7 @@ def step_tables(n: int) -> list[array]:
                 other = bits
             step.extend(range(other * m, other * m + m))
         steps.append(step)
-    return steps
+    return FlipGraph(n, steps)
 
 
 def vertex_id(r: Rep, n: int) -> int:
@@ -109,13 +99,27 @@ def vertex_id(r: Rep, n: int) -> int:
     return bits * (n + 4) + r[n]
 
 
-def rotation_defect(steps: list[array], n: int) -> tuple[int, int] | None:
+def vertex_rep(v: int, n: int) -> Rep:
+    """The representative with id ``v``: the inverse of ``vertex_id``."""
+    bits, last = divmod(v, n + 4)
+    return tuple(bits >> j & 1 for j in range(n - 1, -1, -1)) + (last,)
+
+
+def colored_edges(g: FlipGraph) -> Iterator[tuple[int, int, int]]:
+    """Every colored edge (u, v, color), u < v, in sorted order."""
+    for u in range(len(g.steps[0])):
+        ups = sorted((step[u], i) for i, step in enumerate(g.steps) if step[u] > u)
+        for v, color in ups:
+            yield u, v, color
+
+
+def rotation_defect(g: FlipGraph) -> tuple[int, int] | None:
     """The first (color, id) at which stepping e_n by +1 modulo n+4
     does not commute with the step table, or None when the rotation is
     an automorphism of the colored graph."""
-    m = n + 4
-    rot = [v + 1 if v % m < m - 1 else v + 1 - m for v in range(len(steps[0]))]
-    for i, step in enumerate(steps):
+    m = g.n + 4
+    rot = [v + 1 if v % m < m - 1 else v + 1 - m for v in range(len(g.steps[0]))]
+    for i, step in enumerate(g.steps):
         after = [step[v] for v in rot]
         before = [rot[v] for v in step]
         if after != before:
@@ -139,9 +143,10 @@ def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
 # -- metrics --------------------------------------------------------
 
 
-def bfs_distances(steps: list[array], source: int) -> list[int]:
+def bfs_distances(g: FlipGraph, source: int) -> list[int]:
     """Distances from id ``source`` to every id, by breadth-first
     search over the step tables."""
+    steps = g.steps
     dist = [-1] * len(steps[0])  # a list indexes faster than array("h")
     dist[source] = 0
     frontier = [source]
@@ -163,7 +168,7 @@ def bfs_distances(steps: list[array], source: int) -> list[int]:
 
 def bfs_distance(n: int, r: Rep, s: Rep) -> int:
     """Flip distance from ``r`` to ``s`` by one breadth-first search."""
-    return bfs_distances(step_tables(n), vertex_id(r, n))[vertex_id(s, n)]
+    return bfs_distances(build_graph(n), vertex_id(r, n))[vertex_id(s, n)]
 
 
 def distance_formula(r: Rep, s: Rep, n: int) -> int:
@@ -206,13 +211,13 @@ def bfs_diameter(n: int) -> int:
     graph, so one BFS source per rotation orbit, the vertices with
     e_n = 0, reaches every eccentricity.
     """
-    steps = step_tables(n)
-    defect = rotation_defect(steps, n)
+    g = build_graph(n)
+    defect = rotation_defect(g)
     if defect is not None:
         raise RuntimeError(
             f"rotating e_n does not commute with s_{defect[0]} at vertex {defect[1]}"
         )
-    return max(max(bfs_distances(steps, u)) for u in range(0, len(steps[0]), n + 4))
+    return max(max(bfs_distances(g, u)) for u in range(0, len(g.steps[0]), n + 4))
 
 
 def formula_scan_diameter(n: int) -> int:
@@ -288,80 +293,39 @@ def shortest_representatives(n: int) -> list[tuple[Rep, tuple[int, ...]]]:
 # -- exports --------------------------------------------------------
 
 
-def export_dot(g: FlipGraph) -> str:
+def dot_lines(g: FlipGraph) -> Iterator[str]:
     """DOT text with representative labels and generator-colored edges."""
-    lines = [f"graph flipgraph_n{g.n} {{"]
-    for r in g.vertices:
-        lines.append(f'  "{reps.format_rep(r)}";')
-    for u, v, color in g.edges:
-        lines.append(
-            f'  "{reps.format_rep(g.vertices[u])}" -- '
-            f'"{reps.format_rep(g.vertices[v])}" [label="color={color}"];'
+    labels = [reps.format_rep(vertex_rep(v, g.n)) for v in range(len(g.steps[0]))]
+    yield f"graph flipgraph_n{g.n} {{\n"
+    for label in labels:
+        yield f'  "{label}";\n'
+    for u, v, color in colored_edges(g):
+        yield f'  "{labels[u]}" -- "{labels[v]}" [label="color={color}"];\n'
+    yield "}\n"
+
+
+def json_lines(g: FlipGraph) -> Iterator[str]:
+    """Format-1 JSON, laid out as ``json.dumps(doc, indent=1)``."""
+    yield f'{{\n "format": 1,\n "n": {g.n},\n "vertices": [\n'
+    sep = "  {"
+    for v in range(len(g.steps[0])):
+        r = vertex_rep(v, g.n)
+        yield (
+            f'{sep}\n   "rep": "{reps.format_rep(r)}",\n'
+            f'   "phi": "{reps.rep_to_phi(r, g.n)}",\n   "length": {reps.rep_length(r)}\n'
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def export_json(g: FlipGraph) -> str:
-    """Stable machine-readable form (format 1), deterministically ordered."""
-    doc = {
-        "format": 1,
-        "n": g.n,
-        "vertices": [
-            {
-                "rep": reps.format_rep(r),
-                "phi": str(reps.rep_to_phi(r, g.n)),
-                "length": reps.rep_length(r),
-            }
-            for r in g.vertices
-        ],
-        "edges": [{"u": u, "v": v, "color": c} for u, v, c in g.edges],
-    }
-    return json.dumps(doc, indent=1) + "\n"
-
-
-def _field(record, key: str, kind: type):
-    """``record[key]``, required to exist and to have type ``kind``."""
-    value = record.get(key) if isinstance(record, dict) else None
-    if type(value) is not kind:
-        raise ValueError(f"{key!r} must be a JSON {kind.__name__}: {record!r:.80}")
-    return value
-
-
-def graph_from_json(text: str) -> FlipGraph:
-    """Rebuild a graph from its JSON export.
-
-    Raises ``ValueError`` on anything but a well-formed format-1
-    export: edge endpoints must index the vertex list, u < v, and
-    colors lie in 0..n.
-    """
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise ValueError("graph document nested too deeply") from None
-    if _field(doc, "format", int) != 1:
-        raise ValueError(f"unsupported format {doc['format']!r}")
-    n = _field(doc, "n", int)
-    vertices = tuple(
-        reps.parse_rep(_field(rec, "rep", str), n) for rec in _field(doc, "vertices", list)
-    )
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("duplicate vertices")
-    edges = []
-    for e in _field(doc, "edges", list):
-        u, v, color = (_field(e, key, int) for key in ("u", "v", "color"))
-        if not (0 <= u < v < len(vertices) and 0 <= color <= n):
-            raise ValueError(f"edge {e} out of range for {len(vertices)} vertices, n={n}")
-        edges.append((u, v, color))
-    return FlipGraph(n, vertices, tuple(sorted(edges)))
+        sep = "  },\n  {"
+    yield '  }\n ],\n "edges": [\n'
+    sep = "  {"
+    for u, v, color in colored_edges(g):
+        yield f'{sep}\n   "u": {u},\n   "v": {v},\n   "color": {color}\n'
+        sep = "  },\n  {"
+    yield "  }\n ]\n}\n"
 
 
 def write_export(g: FlipGraph, fmt: str, path: str) -> None:
-    if fmt == "dot":
-        text = export_dot(g)
-    elif fmt == "json":
-        text = export_json(g)
-    else:
+    lines = {"dot": dot_lines, "json": json_lines}.get(fmt)
+    if lines is None:
         raise ValueError(f"unknown export format {fmt!r}")
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(lines(g))

@@ -27,7 +27,6 @@ __all__ = [
     "all_phi_vectors",
     "enumerate_ctft",
     "phi_inv",
-    "parse_triangulation",
     "parse_phi",
 ]
 
@@ -273,25 +272,6 @@ class ColoredTriangulation:
             for i, c in enumerate(self.chords)
         )
         return f"n={self.n}; chords: {parts}"
-
-
-def parse_triangulation(text: str) -> ColoredTriangulation:
-    """Parse the text form ``n=3; chords: 0:(1,6) 1:(1,5) ...``."""
-    head, _, tail = text.partition(";")
-    if not head.strip().startswith("n="):
-        raise ValueError(f"malformed triangulation text {text!r}")
-    n = int(head.strip()[2:])
-    tail = tail.strip()
-    if not tail.startswith("chords:"):
-        raise ValueError(f"malformed triangulation text {text!r}")
-    chords: dict[int, Chord] = {}
-    for item in tail[len("chords:") :].split():
-        color, _, pair = item.partition(":")
-        x, y = pair.strip("()").split(",")
-        chords[int(color)] = frozenset((int(x), int(y)))
-    if len(chords) != n + 1 or sorted(chords) != list(range(n + 1)):
-        raise ValueError(f"colors must be 0..{n}, got {sorted(chords)}")
-    return ColoredTriangulation(n, tuple(chords[i] for i in range(n + 1)))
 
 
 def phi_inv(v: PhiVector) -> ColoredTriangulation:

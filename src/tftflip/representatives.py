@@ -34,7 +34,6 @@ __all__ = [
     "rep_to_phi",
     "phi_to_rep",
     "apply_generator",
-    "is_left_descent",
     "leq",
     "covers",
     "meet",
@@ -170,18 +169,6 @@ def is_wrap(i: int, r: Rep, n: int) -> bool:
     return i == n and (
         (r[n - 1] == 1 and r[n] == n + 3) or (r[n - 1] == 0 and r[n] == 0)
     )
-
-
-def is_left_descent(i: int, r: Rep, n: int) -> bool:
-    """Length-decreasing generators: e_{i-1} = 0 and e_i > 0, with the
-    boundary convention e_{-1} = 0.
-
-    This is the published descent formula taken verbatim; the modular
-    wrap at i = n falls outside it and is handled by the graph module.
-    """
-    check_rep(r, n)
-    prev = 0 if i == 0 else r[i - 1]
-    return prev == 0 and r[i] > 0
 
 
 # -- dominance order ------------------------------------------------

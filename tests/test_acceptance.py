@@ -97,7 +97,7 @@ def test_criterion_09_distance():
     for n in (3, 4):  # all pairs
         results.append((n, *checks.check_distance_formula(n)))
     for n in (5, 6):  # >= 10^4 random pairs
-        steps = flipgraph.step_tables(n)
+        g = flipgraph.build_graph(n)
         rs = reps.all_reps(n)
         rng = random.Random(100 + n)
         pairs = 0
@@ -107,7 +107,7 @@ def test_criterion_09_distance():
             u = rng.randrange(len(rs))
             v = rng.randrange(len(rs))
             if u not in by_source:
-                by_source[u] = flipgraph.bfs_distances(steps, u)
+                by_source[u] = flipgraph.bfs_distances(g, u)
             r, s = rs[u], rs[v]
             if flipgraph.distance_formula(r, s, n) != by_source[u][v]:
                 ok, detail = False, f"formula != BFS at {r}, {s}"

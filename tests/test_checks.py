@@ -2,7 +2,7 @@
 
 import pytest
 
-from tftflip import checks, coxeter, flipgraph
+from tftflip import checks, coxeter, flipgraph, geometry
 from tftflip import representatives as reps
 
 
@@ -91,6 +91,20 @@ def test_relations_catches_a_non_relation(monkeypatch):
     )
 
 
+def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
+    # the registry's cap is the only cap: under --max-n 7 the vector
+    # test still runs, so an action that moves one vector must fail
+    act_on_phi = coxeter.act_on_phi
+    moved = geometry.all_phi_vectors(7)[-1]
+    base = coxeter.base_vector(7)
+    monkeypatch.setattr(
+        coxeter, "act_on_phi", lambda word, v: base if v == moved else act_on_phi(word, v)
+    )
+    ok, detail = checks.check_relations(7)
+    assert not ok
+    assert detail.endswith(f"moves vector {moved}")
+
+
 def test_stabilizer_catches_a_short_orbit(monkeypatch):
     monkeypatch.setattr(coxeter, "orbit_of_base", lambda n: {coxeter.base_vector(n)})
     assert checks.check_stabilizer(N) == (
@@ -106,15 +120,15 @@ def test_bipartition_catches_a_wrong_sign(monkeypatch):
 
 
 def broken_tables(monkeypatch, breakage):
-    """Make ``flipgraph.step_tables`` return tables changed by ``breakage``."""
-    step_tables = flipgraph.step_tables
+    """Make ``flipgraph.build_graph`` return tables changed by ``breakage``."""
+    build_graph = flipgraph.build_graph
 
     def patched(n):
-        steps = step_tables(n)
-        breakage(steps, n)
-        return steps
+        g = build_graph(n)
+        breakage(g.steps, n)
+        return g
 
-    monkeypatch.setattr(flipgraph, "step_tables", patched)
+    monkeypatch.setattr(flipgraph, "build_graph", patched)
 
 
 def join_fixed_vertices(steps, n):

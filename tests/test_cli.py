@@ -1,9 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import tftflip
 from tftflip.checks import SUITES
 from tftflip.cli import main
 from tftflip.geometry import enumerate_ctft
@@ -180,6 +185,28 @@ class TestGraph:
         )
         assert code == 0
         assert path.read_text().startswith("graph flipgraph_n2 {")
+
+    def test_n12_json_export_streams_in_small_memory(self, tmp_path):
+        # a fresh process reports its own peak RSS (KiB on Linux); built
+        # whole as one document and string, this export peaked at 347 MiB
+        path = tmp_path / "g.json"
+        script = (
+            "import resource, sys\n"
+            "from tftflip.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(tftflip.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["graph", "-n", "12", "--format", "json", "-o", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert int(proc.stdout.split()[-1]) < 64 * 1024
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "69f3a9a4418ec17de37ba664e7efc7ed4c0ba1d21a561dac2ab6a8438a7d3390"
 
 
 class TestVerify:

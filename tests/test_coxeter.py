@@ -16,7 +16,6 @@ from tftflip.coxeter import (
     gram_and_volumes,
     left_descents,
     orbit_of_base,
-    parse_word,
     relation_words,
     word_to_affine,
 )
@@ -67,10 +66,6 @@ class TestAffineMap:
         lhs = word_to_affine(n, (0, 1, 0, 1))
         rhs = word_to_affine(n, (1, 0, 1, 0))
         assert lhs == rhs  # (s_0 s_1)^4 = 1
-
-    def test_json_form(self):
-        m = AffineMap.generator(2, 2)
-        assert m.to_json() == '{"perm": [0, 1], "signs": [1, -1], "trans": [0, 2]}'
 
 
 class TestRelations:
@@ -209,7 +204,6 @@ class TestVolumes:
 
 
 class TestWordText:
-    def test_roundtrip(self):
-        assert parse_word("3 2 1 0") == (3, 2, 1, 0)
+    def test_format(self):
         assert format_word((3, 2, 1, 0)) == "3 2 1 0"
-        assert parse_word("") == ()
+        assert format_word(()) == ""

@@ -1,11 +1,14 @@
-"""Run every demo script; each must finish without raising."""
+"""Run every demo script and the README quick start; each must finish
+without raising."""
 
+import doctest
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -17,3 +20,12 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # demos write their pictures to the cwd
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start():
+    readme = ROOT / "README.md"
+    block = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", str(readme), 0)
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False) == (0, len(test.examples))

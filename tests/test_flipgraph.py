@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter, deque
 
@@ -10,24 +11,26 @@ from tftflip.flipgraph import (
     bfs_distance,
     bfs_distances,
     build_graph,
+    colored_edges,
     diameter,
     distance_formula,
-    export_dot,
-    export_json,
+    dot_lines,
     formula_scan_diameter,
-    graph_from_json,
+    json_lines,
     rotation_defect,
     shortest_representatives,
     sign,
-    step_tables,
     vertex_id,
+    vertex_rep,
     wrap_edges,
+    write_export,
 )
 from tftflip.geometry import phi_inv
 from tftflip.representatives import (
     all_reps,
     apply_generator,
     covers,
+    format_rep,
     identity_rep,
     longest_rep,
     rep_length,
@@ -79,36 +82,76 @@ def reference_bfs(ref, source):
     return dist
 
 
+def reference_dot(n):
+    """The DOT export built whole from ``all_reps`` and the sorted
+    reference edges."""
+    vertices = all_reps(n)
+    lines = [f"graph flipgraph_n{n} {{"]
+    for r in vertices:
+        lines.append(f'  "{format_rep(r)}";')
+    for u, v, color in sorted(reference_edges(reference_steps(n))):
+        lines.append(
+            f'  "{format_rep(vertices[u])}" -- '
+            f'"{format_rep(vertices[v])}" [label="color={color}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(n):
+    """The format-1 JSON export built whole as a document and encoded
+    by ``json.dumps``."""
+    doc = {
+        "format": 1,
+        "n": n,
+        "vertices": [
+            {"rep": format_rep(r), "phi": str(rep_to_phi(r, n)), "length": rep_length(r)}
+            for r in all_reps(n)
+        ],
+        "edges": [
+            {"u": u, "v": v, "color": c}
+            for u, v, c in sorted(reference_edges(reference_steps(n)))
+        ],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 @pytest.fixture(scope="module")
 def g3():
     return build_graph(3)
 
 
+@pytest.fixture(scope="module")
+def edges3(g3):
+    return list(colored_edges(g3))
+
+
 class TestStructure:
     def test_vertex_count(self, g3):
-        assert len(g3.vertices) == 56
+        assert g3.n == 3
+        assert len(g3.steps) == 4
+        assert all(len(step) == 56 for step in g3.steps)
 
-    def test_degrees(self, g3):
-        degree = Counter(w for u, v, _ in g3.edges for w in (u, v))
-        for u, r in enumerate(g3.vertices):
+    def test_degrees(self, edges3):
+        degree = Counter(w for u, v, _ in edges3 for w in (u, v))
+        for u, r in enumerate(all_reps(3)):
             assert degree[u] + len(fixed_generators(r, 3)) == 4
 
-    def test_loops_are_equal_adjacent_bits(self, g3):
-        colors = [set() for _ in g3.vertices]
-        for u, v, c in g3.edges:
+    def test_loops_are_equal_adjacent_bits(self, edges3):
+        colors = [set() for _ in range(56)]
+        for u, v, c in edges3:
             colors[u].add(c)
             colors[v].add(c)
-        for u, r in enumerate(g3.vertices):
+        for u, r in enumerate(all_reps(3)):
             expected = {i for i in range(1, 3) if r[i - 1] == r[i]}
             assert set(fixed_generators(r, 3)) == expected
             assert set(range(4)) - colors[u] == expected
 
-    def test_edges_are_covers_plus_wraps(self, g3):
-        undirected = {
-            frozenset((g3.vertices[u], g3.vertices[v])) for u, v, _ in g3.edges
-        }
+    def test_edges_are_covers_plus_wraps(self, edges3):
+        rs = all_reps(3)
+        undirected = {frozenset((rs[u], rs[v])) for u, v, _ in edges3}
         expected = set()
-        for r in g3.vertices:
+        for r in rs:
             for s in covers(r, 3):
                 expected.add(frozenset((r, s)))
         for u, v in wrap_edges(3):
@@ -120,11 +163,11 @@ class TestStructure:
         assert len(wrap_edges(3)) == 4
 
     def test_connected(self):
-        bfs_distances(step_tables(3), 0)  # raises if disconnected
-        steps = step_tables(3)
-        steps[0] = steps[1]  # no generator changes e_0 any more
+        bfs_distances(build_graph(3), 0)  # raises if disconnected
+        g = build_graph(3)
+        g.steps[0] = g.steps[1]  # no generator changes e_0 any more
         with pytest.raises(RuntimeError):
-            bfs_distances(steps, 0)
+            bfs_distances(g, 0)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -136,21 +179,22 @@ class TestStructure:
 class TestStepTables:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_tables_equal_the_generator_sweep(self, n):
-        assert [list(step) for step in step_tables(n)] == reference_steps(n)
+        assert [list(step) for step in build_graph(n).steps] == reference_steps(n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_export_edges_equal_the_generator_sweep(self, n):
-        assert build_graph(n).edges == tuple(sorted(reference_edges(reference_steps(n))))
+        edges = list(colored_edges(build_graph(n)))
+        assert edges == sorted(reference_edges(reference_steps(n)))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bfs_equals_reference_bfs(self, n):
-        steps, ref = step_tables(n), reference_steps(n)
+        g, ref = build_graph(n), reference_steps(n)
         sources = range(len(ref[0]))
         if n >= 6:
             sources = random.Random(n).sample(sources, 4)
         eccentricities = []
         for u in sources:
-            dist = bfs_distances(steps, u)
+            dist = bfs_distances(g, u)
             assert dist == reference_bfs(ref, u)
             eccentricities.append(max(dist))
         if n <= 5:
@@ -159,15 +203,17 @@ class TestStepTables:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_vertex_id_is_the_lex_index(self, n):
-        assert [vertex_id(r, n) for r in all_reps(n)] == list(range((n + 4) * 2**n))
+        rs = all_reps(n)
+        assert [vertex_id(r, n) for r in rs] == list(range(len(rs)))
+        assert [vertex_rep(v, n) for v in range(len(rs))] == rs
 
     def test_rotation_defect(self):
-        steps = step_tables(4)
-        assert rotation_defect(steps, 4) is None
+        g = build_graph(4)
+        assert rotation_defect(g) is None
         # s_2 fixes ids 0 and 8 (bits 0000 and 0001, e_4 = 0); join
         # them by an s_2 edge that the rotated vertices 1 and 9 lack
-        steps[2][0], steps[2][8] = 8, 0
-        assert rotation_defect(steps, 4) == (2, 0)
+        g.steps[2][0], g.steps[2][8] = 8, 0
+        assert rotation_defect(g) == (2, 0)
 
 
 class TestDistance:
@@ -188,17 +234,17 @@ class TestDistance:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_bfs_everywhere(self, n):
-        steps, rs = step_tables(n), all_reps(n)
+        g, rs = build_graph(n), all_reps(n)
         for u, r in enumerate(rs):
-            dist = bfs_distances(steps, u)
+            dist = bfs_distances(g, u)
             for v, s in enumerate(rs):
                 assert distance_formula(r, s, n) == dist[v]
 
     def test_n5_sampled(self):
-        steps, rs = step_tables(5), all_reps(5)
+        g, rs = build_graph(5), all_reps(5)
         rng = random.Random(11)
         for u in rng.sample(range(len(rs)), 10):
-            dist = bfs_distances(steps, u)
+            dist = bfs_distances(g, u)
             r = rs[u]
             for v, s in enumerate(rs):
                 assert distance_formula(r, s, 5) == dist[v]
@@ -262,10 +308,11 @@ class TestBipartition:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_proper_two_coloring(self, n):
-        g = build_graph(n)
-        assert all(sign(g.vertices[u]) != sign(g.vertices[v]) for u, v, _ in g.edges)
+        rs = all_reps(n)
+        edges = colored_edges(build_graph(n))
+        assert all(sign(rs[u]) != sign(rs[v]) for u, v, _ in edges)
         half = (n + 4) * 2**n // 2
-        assert sum(sign(r) == 1 for r in g.vertices) == half
+        assert sum(sign(r) == 1 for r in rs) == half
 
     def test_wrap_edge_changes_sign(self):
         for u, v in wrap_edges(3):
@@ -276,7 +323,7 @@ class TestBipartition:
 class TestShortestRepresentatives:
     @pytest.mark.parametrize("n", [3, 4])
     def test_word_lengths_equal_graph_distance(self, n):
-        dist = bfs_distances(step_tables(n), vertex_id(identity_rep(n), n))
+        dist = bfs_distances(build_graph(n), vertex_id(identity_rep(n), n))
         for r, word in shortest_representatives(n):
             assert len(word) == dist[vertex_id(r, n)]
             assert coxeter_length(word_to_affine(n, word)) == len(word)
@@ -295,36 +342,34 @@ class TestShortestRepresentatives:
 
 
 class TestExports:
-    def test_dot(self, g3):
-        text = export_dot(g3)
+    def test_dot(self, g3, edges3):
+        text = "".join(dot_lines(g3))
         assert text.startswith("graph flipgraph_n3 {")
-        assert text.count(";") == 56 + len(g3.edges)
+        assert text.count(";") == 56 + len(edges3)
         assert '"0,0,0,0" -- "1,0,0,0" [label="color=0"];' in text
 
-    def test_json_roundtrip(self, g3):
-        text = export_json(g3)
-        h = graph_from_json(text)
-        assert h == g3
-        assert export_json(h) == text
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize(
+        "lines, reference",
+        [(dot_lines, reference_dot), (json_lines, reference_json)],
+        ids=["dot", "json"],
+    )
+    def test_streamed_export_equals_the_reference(self, lines, reference, n):
+        text, expected = "".join(lines(build_graph(n))), reference(n)
+        assert text == expected
+        if lines is json_lines:
+            assert json.loads(text) == json.loads(expected)
 
     def test_json_vertex_records(self, g3):
-        import json
-
-        doc = json.loads(export_json(g3))
+        doc = json.loads("".join(json_lines(g3)))
         assert doc["format"] == 1
         assert doc["n"] == 3
         first = doc["vertices"][0]
         assert first == {"rep": "0,0,0,0", "phi": "0:000", "length": 0}
 
-    def test_json_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            graph_from_json('{"format": 2}')
-
     def test_write_export(self, g3, tmp_path):
-        from tftflip.flipgraph import write_export
-
         path = tmp_path / "g.dot"
         write_export(g3, "dot", str(path))
-        assert path.read_text() == export_dot(g3)
+        assert path.read_text() == "".join(dot_lines(g3))
         with pytest.raises(ValueError):
             write_export(g3, "gml", str(path))

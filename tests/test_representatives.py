@@ -14,7 +14,6 @@ from tftflip.representatives import (
     dual,
     format_rep,
     identity_rep,
-    is_left_descent,
     is_wrap,
     join,
     leq,
@@ -133,26 +132,6 @@ class TestApplyGenerator:
                 res = apply_generator(i, r, n)
                 expected = phi_inv(rep_to_phi(r, n)).flip(i).phi()
                 assert rep_to_phi(res.rep, n) == expected
-
-
-class TestDescents:
-    def test_examples(self):
-        r = (1, 0, 1, 2)
-        assert {i for i in range(4) if is_left_descent(i, r, 3)} == {0, 2}
-        assert not any(is_left_descent(i, identity_rep(3), 3) for i in range(4))
-        w = longest_rep(3)
-        assert {i for i in range(4) if is_left_descent(i, w, 3)} == {0}
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_descent_means_shorter(self, n):
-        # away from the wrap, the formula matches the length drop
-        for r in all_reps(n):
-            for i in range(n + 1):
-                if is_wrap(i, r, n):
-                    continue
-                res = apply_generator(i, r, n)
-                drops = res.moved and rep_length(res.rep) < rep_length(r)
-                assert is_left_descent(i, r, n) == drops
 
 
 class TestOrder:
