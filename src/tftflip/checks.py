@@ -473,11 +473,15 @@ SUITES: list[Check] = [
     # n = 12, 32 s at n = 13, under 50 MiB; held below 12, where the
     # whole graph suite is skipped
     Check("distance-formula", "graph", 11, check_distance_formula, min_n=3),
-    # one BFS per rotation orbit: 4.0 s at n = 9, 20 s at n = 10,
-    # 108 s at n = 11, under 25 MiB
-    Check("diameter-bfs", "graph", 10, check_diameter, min_n=3),
-    # one formula call per pair: 13 s at n = 8, 64 s at n = 9
-    Check("diameter-scan", "graph", 8, check_diameter_scan, min_n=3),
+    # one bit-parallel BFS sweep from all rotation orbits: 0.41 s /
+    # 19 MiB at n = 9, 1.4 s / 24 MiB at n = 10, 4.3 s / 46 MiB at
+    # n = 11, 23 s / 139 MiB at n = 12; test_graph_suite_is_capped_at_n12
+    # holds it at 11
+    Check("diameter-bfs", "graph", 11, check_diameter, min_n=3),
+    # one formula call per difference class: 0.51 s at n = 9, 1.6 s at
+    # n = 10, 6.9 s at n = 11, 23 s at n = 12, 17 MiB; held at 11 by
+    # that test
+    Check("diameter-scan", "graph", 11, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),
     Check("bipartition", "graph", 6, check_bipartition, min_n=3),
     Check("shortest-reps", "graph", 5, check_shortest_representatives, min_n=3),

@@ -15,6 +15,8 @@ over the tables.
 from __future__ import annotations
 
 from array import array
+from itertools import product
+from operator import or_
 from typing import Iterator, NamedTuple
 
 from . import representatives as reps
@@ -32,6 +34,7 @@ __all__ = [
     "distance_formula",
     "diameter",
     "bfs_diameter",
+    "formula_scan_diameter",
     "antipode",
     "sign",
     "shortest_representatives",
@@ -130,8 +133,6 @@ def rotation_defect(g: FlipGraph) -> tuple[int, int] | None:
 def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
     """The non-Hasse edges: (v, v a_{n-1} a_n^{n+3}) over all v built
     from the first n-1 exponents."""
-    from itertools import product
-
     out = set()
     for bits in product((0, 1), repeat=n - 1):
         u = bits + (0, 0)
@@ -207,25 +208,47 @@ def diameter(n: int) -> int:
 def bfs_diameter(n: int) -> int:
     """Largest eccentricity over all vertices.
 
-    Rotating e_n is first checked to be an automorphism of the colored
-    graph, so one BFS source per rotation orbit, the vertices with
-    e_n = 0, reaches every eccentricity.
-    """
+    Rotating e_n is checked to be an automorphism, so one source per
+    rotation orbit (e_n = 0) reaches every eccentricity, and every step
+    table to be an involution, so a level may pull from neighbours.  All
+    sources run in one sweep: bit k of ``seen[v]`` says that the source
+    with id k*(n+4) has reached v."""
     g = build_graph(n)
     defect = rotation_defect(g)
     if defect is not None:
         raise RuntimeError(
             f"rotating e_n does not commute with s_{defect[0]} at vertex {defect[1]}"
         )
-    return max(max(bfs_distances(g, u)) for u in range(0, len(g.steps[0]), n + 4))
+    ids = list(range(len(g.steps[0])))
+    for i, step in enumerate(g.steps):
+        if list(map(step.__getitem__, step)) != ids:
+            v = next(v for v in ids if step[step[v]] != v)
+            raise RuntimeError(f"s_{i} is not an involution at vertex {v}")
+    m = n + 4
+    full = (1 << (1 << n)) - 1
+    seen = [1 << (v // m) if v % m == 0 else 0 for v in ids]
+    levels = 0
+    while seen.count(full) < len(seen):
+        reached = seen
+        for step in g.steps:
+            reached = list(map(or_, reached, map(seen.__getitem__, step)))
+        if reached == seen:
+            raise RuntimeError("flip graph is disconnected: invariant violated")
+        seen, levels = reached, levels + 1
+    return levels
 
 
 def formula_scan_diameter(n: int) -> int:
-    """Largest closed-form distance over all pairs of vertices."""
+    """Largest closed-form distance over all pairs of vertices.  The
+    formula reads only r_i - s_i (i < n) and (r_n - s_n) mod (n+4), so
+    one pair per class in {-1,0,1}^n x Z_{n+4} covers every value."""
     if n < 3:
         raise ValueError("the closed-form distance requires n >= 3")
-    rs = reps.all_reps(n)
-    return max(_distance(r, s, n) for i, r in enumerate(rs) for s in rs[i + 1 :])
+    pairs = (
+        (tuple(int(d > 0) for d in diffs), tuple(int(d < 0) for d in diffs) + (0,))
+        for diffs in product((-1, 0, 1), repeat=n)
+    )
+    return max(_distance(r + (delta,), s, n) for r, s in pairs for delta in range(n + 4))
 
 
 # -- antipodes, sign ------------------------------------------------

@@ -1,5 +1,7 @@
 """The rewritten oracle checks must still fail on wrong answers."""
 
+from array import array
+
 import pytest
 
 from tftflip import checks, coxeter, flipgraph, geometry
@@ -160,8 +162,34 @@ def test_distance_formula_catches_one_wrong_partner(monkeypatch):
     assert detail.startswith(f"formula != BFS at {BOTTOM}, ")
 
 
+def test_diameter_bfs_catches_a_table_that_is_not_an_involution(monkeypatch):
+    def bottom_to_top(steps, n):
+        # s_0 sends bits 0...0 to bits 1...1 with the same e_n: still
+        # rotation-symmetric, but s_0 s_0 moves id 0
+        m = n + 4
+        for e in range(m):
+            steps[0][e] = ((1 << n) - 1) * m + e
+
+    broken_tables(monkeypatch, bottom_to_top)
+    assert checks.check_diameter(N) == (False, "s_0 is not an involution at vertex 0")
+
+
+def test_diameter_bfs_catches_a_disconnected_table(monkeypatch):
+    def freeze_ends(steps, n):
+        # without s_0 and s_n no generator changes the number of ones
+        for i in (0, n):
+            steps[i][:] = array("i", range(len(steps[i])))
+
+    broken_tables(monkeypatch, freeze_ends)
+    assert checks.check_diameter(N) == (
+        False,
+        "flip graph is disconnected: invariant violated",
+    )
+
+
 def test_graph_suite_is_capped_at_n12():
-    # the graph oracles would take hours at n = 12
+    # this test, not the oracles' cost, holds every graph cap at 11:
+    # several graph checks would finish within a minute at n = 12
     rows = list(checks.run_suite(12, "graph"))
     assert rows
     assert {status for _, status, _ in rows} == {"skip"}

@@ -125,6 +125,19 @@ class TestDiameter:
         assert out == "44 verified\n"
 
     @pytest.mark.parametrize(
+        "method, n, answer, budget",
+        [("formula-scan", 8, 54, 3), ("bfs", 10, 77, 8)],
+    )
+    def test_verify_cost(self, capsys, method, n, answer, budget):
+        # a formula call per pair or a BFS per orbit source would take
+        # about 13 s and 20 s here
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "diameter", "-n", str(n), "--verify", method)
+        assert time.perf_counter() - start < budget
+        assert code == 0
+        assert out == f"{answer} verified\n"
+
+    @pytest.mark.parametrize(
         "method, n",
         [("bfs", CAPS["diameter-bfs"] + 1), ("formula-scan", CAPS["diameter-scan"] + 1)],
     )

@@ -1,11 +1,12 @@
 import json
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 
 import pytest
 
 from tftflip.coxeter import coxeter_length, word_to_affine
 from tftflip.flipgraph import (
+    _distance,
     antipode,
     bfs_diameter,
     bfs_distance,
@@ -116,6 +117,12 @@ def reference_json(n):
     return json.dumps(doc, indent=1) + "\n"
 
 
+def reference_scan_diameter(n):
+    """Largest closed-form distance, one formula call per pair."""
+    rs = all_reps(n)
+    return max(_distance(r, s, n) for i, r in enumerate(rs) for s in rs[i + 1 :])
+
+
 @pytest.fixture(scope="module")
 def g3():
     return build_graph(3)
@@ -190,14 +197,14 @@ class TestStepTables:
     def test_bfs_equals_reference_bfs(self, n):
         g, ref = build_graph(n), reference_steps(n)
         sources = range(len(ref[0]))
-        if n >= 6:
+        if n >= 7:
             sources = random.Random(n).sample(sources, 4)
         eccentricities = []
         for u in sources:
             dist = bfs_distances(g, u)
             assert dist == reference_bfs(ref, u)
             eccentricities.append(max(dist))
-        if n <= 5:
+        if n <= 6:
             # every source ran: the orbit sources must find the same maximum
             assert bfs_diameter(n) == max(eccentricities)
 
@@ -264,6 +271,21 @@ class TestDiameter:
 
     def test_formula_scan_agrees(self):
         assert formula_scan_diameter(3) == 14
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_distance_is_constant_on_difference_classes(self, n):
+        rs, m = all_reps(n), n + 4
+        classes = defaultdict(set)
+        for r in rs:
+            for s in rs:
+                key = tuple(a - b for a, b in zip(r[:n], s[:n])), (r[n] - s[n]) % m
+                classes[key].add(_distance(r, s, n))
+        assert len(classes) == 3**n * m
+        assert all(len(values) == 1 for values in classes.values())
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_class_scan_equals_the_pair_scan(self, n):
+        assert formula_scan_diameter(n) == reference_scan_diameter(n)
 
     def test_requires_n3(self):
         with pytest.raises(ValueError):
