@@ -36,7 +36,8 @@ print("  (the group length of the top element is "
       "are massive shortcuts)")
 print()
 
-print(f"diameter: closed form {diameter(n)}, all-pairs BFS {bfs_diameter(n)}")
+print(f"diameter: closed form {diameter(n)}, "
+      f"BFS from all {2**n} rotation-orbit sources {bfs_diameter(n)}")
 print()
 
 for r in (ident, (1, 0, 1, 2)):

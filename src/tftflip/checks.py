@@ -366,7 +366,7 @@ def check_diameter(n):
         return False, str(exc)
     if by_bfs != closed:
         return False, f"BFS diameter {by_bfs} != closed form {closed}"
-    return True, f"diameter {closed} confirmed by all-pairs BFS"
+    return True, f"diameter {closed} confirmed by BFS from all {2**n} rotation-orbit sources"
 
 
 def check_diameter_scan(n):
@@ -494,18 +494,17 @@ def suite_names() -> list[str]:
     return sorted({c.suite for c in SUITES})
 
 
-def run_suite(n: int, suite: str = "all", max_n: int | None = None):
+def run_suite(n: int, suite: str = "all"):
     """Run the selected checks at a single n.
 
     Yields ``(name, status, detail)`` rows with status 'ok', 'FAIL',
-    'finding' or 'skip'.  Checks whose default n-cap is below n are
-    skipped unless ``max_n`` raises the cap.
+    'finding' or 'skip'.  A check is skipped above its n-cap; call
+    ``Check.run(n)`` to run one check at any n.
     """
     for check in SUITES:
         if suite != "all" and check.suite != suite:
             continue
-        cap = max(check.max_n, max_n or 0)
-        if n > cap:
+        if n > check.max_n:
             yield check.name, "skip", f"n={n} above cap {check.max_n}"
             continue
         if n < check.min_n:

@@ -2,13 +2,12 @@
 
 Subcommands: count, graph, distance, diameter, antipode, verify,
 render.  Exit status is 0 on success, 1 on a verification failure and
-2 on usage and I/O errors.  Set ``TFT_COLOR=1`` to colorize the verify table.
+2 on usage and I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import checks, flipgraph, geometry
@@ -19,22 +18,10 @@ from .render import render_svg
 # 4,300, and for a huge n the power alone would exhaust memory
 _MAX_COUNT_N = 10_000
 
-_GREEN = "\033[32m"
-_RED = "\033[31m"
-_RESET = "\033[0m"
-
-
-def _use_color() -> bool:
-    return os.environ.get("TFT_COLOR", "0") == "1"
-
 
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
-
-
-def _add_n(parser, minimum):
-    parser.add_argument("-n", type=int, required=True, help=f"size parameter, n >= {minimum}")
 
 
 def cmd_count(args) -> int:
@@ -103,18 +90,11 @@ def cmd_antipode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    color = _use_color()
     failed = False
-    for name, status, detail in checks.run_suite(args.n, args.suite, args.max_n):
-        shown = status
-        if color and status == "ok":
-            shown = f"{_GREEN}{status}{_RESET}"
-        elif color and "FAIL" in status:
-            shown = f"{_RED}{status}{_RESET}"
-        print(f"{name:24s} {shown:8s} {detail}")
-        if status == "FAIL":
-            if not failed:
-                failed = name
+    for name, status, detail in checks.run_suite(args.n, args.suite):
+        print(f"{name:24s} {status:8s} {detail}")
+        if status == "FAIL" and not failed:
+            failed = name
     if failed:
         print(f"FAILED: {failed}", file=sys.stderr)
         return 1
@@ -138,6 +118,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"tft: error: {message}\n")
 
 
+def _subcommand(sub, name, func, min_n, help):
+    """Add a subcommand whose required ``-n`` is at least ``min_n``;
+    ``main`` enforces the floor that the help text states."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("-n", type=int, required=True, help=f"size parameter, n >= {min_n}")
+    p.set_defaults(func=func, min_n=min_n)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tft",
@@ -145,49 +134,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", help="count triangulations")
-    _add_n(p, 1)
-    p.set_defaults(func=cmd_count, min_n=1)
+    _subcommand(sub, "count", cmd_count, 1, "count triangulations")
 
-    p = sub.add_parser("graph", help="export the flip graph")
-    _add_n(p, 2)
+    p = _subcommand(sub, "graph", cmd_graph, 2, "export the flip graph")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_graph, min_n=2)
 
-    p = sub.add_parser("distance", help="flip distance between representatives")
-    _add_n(p, 2)
+    p = _subcommand(sub, "distance", cmd_distance, 2, "flip distance between representatives")
     p.add_argument("--from", required=True, metavar="REP")
     p.add_argument("--to", required=True, metavar="REP")
     p.add_argument("--method", choices=("formula", "bfs", "both"), default="both")
-    p.set_defaults(func=cmd_distance, min_n=2)
 
-    p = sub.add_parser("diameter", help="diameter of the flip graph")
-    _add_n(p, 3)
+    p = _subcommand(sub, "diameter", cmd_diameter, 3, "diameter of the flip graph")
     p.add_argument("--verify", choices=("bfs", "formula-scan"))
-    p.set_defaults(func=cmd_diameter, min_n=3)
 
-    p = sub.add_parser("antipode", help="vertex at maximal distance")
-    _add_n(p, 3)
+    p = _subcommand(sub, "antipode", cmd_antipode, 3, "vertex at maximal distance")
     p.add_argument("--rep", required=True)
     p.add_argument("--kind", choices=("reverse", "rotate"), default="reverse")
-    p.set_defaults(func=cmd_antipode, min_n=3)
 
-    p = sub.add_parser("verify", help="run the invariant suites")
-    _add_n(p, 2)
+    p = _subcommand(sub, "verify", cmd_verify, 2, "run the invariant suites")
     p.add_argument("--suite", choices=["all"] + checks.suite_names(), default="all")
-    p.add_argument(
-        "--max-n", type=int, default=None,
-        help="raise the per-check n-caps (expensive checks run by default "
-        "only up to their documented n)",
-    )
-    p.set_defaults(func=cmd_verify, min_n=2)
 
-    p = sub.add_parser("render", help="render a triangulation as SVG")
-    _add_n(p, 1)
+    p = _subcommand(sub, "render", cmd_render, 1, "render a triangulation as SVG")
     p.add_argument("--phi", required=True, metavar="A:BITS")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_render, min_n=1)
 
     return parser
 

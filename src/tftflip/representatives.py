@@ -163,14 +163,6 @@ def _apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
     return GeneratorResult(tuple(e), True)
 
 
-def is_wrap(i: int, r: Rep, n: int) -> bool:
-    """Whether s_i * r re-enters through the stabilizer (the two
-    modular-wrap cases of generator n)."""
-    return i == n and (
-        (r[n - 1] == 1 and r[n] == n + 3) or (r[n - 1] == 0 and r[n] == 0)
-    )
-
-
 # -- dominance order ------------------------------------------------
 
 
@@ -191,14 +183,14 @@ def leq(r: Rep, s: Rep) -> bool:
 
 
 def covers(r: Rep, n: int) -> list[Rep]:
-    """All s covering r: length-increasing generator moves that stay
-    in representative form without wrapping."""
+    """All s covering r: generator moves that add one to the length.
+
+    A wrap of s_n (e_n passing between n+3 and 0) changes the length by
+    n + (n+1)(n+3), never by one, so the length test leaves it out."""
     check_rep(r, n)
     base = rep_length(r)
     out = set()
     for i in range(n + 1):
-        if is_wrap(i, r, n):
-            continue
         res = apply_generator(i, r, n)
         if res.moved and rep_length(res.rep) == base + 1:
             out.add(res.rep)

@@ -94,8 +94,8 @@ def test_relations_catches_a_non_relation(monkeypatch):
 
 
 def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
-    # the registry's cap is the only cap: under --max-n 7 the vector
-    # test still runs, so an action that moves one vector must fail
+    # the registry's cap is the only cap: run directly above it, the
+    # vector test still runs, so an action that moves one vector must fail
     act_on_phi = coxeter.act_on_phi
     moved = geometry.all_phi_vectors(7)[-1]
     base = coxeter.base_vector(7)

@@ -150,12 +150,6 @@ class TestDiameter:
         assert exc.value.code == 2
         assert_one_line_usage_error(capsys)
 
-    def test_n_too_small(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["diameter", "-n", "2"])
-        assert exc.value.code == 2
-        assert_one_line_usage_error(capsys)
-
 
 class TestAntipode:
     def test_reverse(self, capsys):
@@ -236,13 +230,35 @@ class TestVerify:
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_golden_output(self, capsys, monkeypatch, n):
-        # recorded from `tft verify -n <n>` before the oracles were sped up
-        monkeypatch.setenv("TFT_COLOR", "0")
+    def test_golden_output(self, capsys, n):
+        # recorded with
+        # `PYTHONPATH=src python -m tftflip.cli verify -n K > tests/data/verify_nK.txt`
         code, out, _ = run(capsys, "verify", "-n", str(n))
         assert code == 0
         golden = Path(__file__).with_name("data") / f"verify_n{n}.txt"
         assert out.encode() == golden.read_bytes()
+
+    def test_output_ignores_tft_color(self, capsys, monkeypatch):
+        monkeypatch.setenv("TFT_COLOR", "1")
+        code, out, _ = run(capsys, "verify", "-n", "3")
+        assert code == 0
+        golden = Path(__file__).with_name("data") / "verify_n3.txt"
+        assert out.encode() == golden.read_bytes()
+
+    def test_caps_are_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-n", "3", "--max-n", "7"])
+        assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
+
+    def test_above_every_cap_skips_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "-n", "40")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == len(SUITES) == 27
+        assert all(row.split()[1] == "skip" for row in rows)
 
 
 class TestRender:
@@ -290,3 +306,25 @@ class TestUsage:
             main(["count"])
         assert exc.value.code == 2
         assert_one_line_usage_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, floor",
+        [
+            pytest.param(argv, floor, id=argv[0])
+            for argv, floor in [
+                (("count",), 1),
+                (("graph", "-o", "g.json"), 2),
+                (("distance", "--from", "0,0", "--to", "0,0"), 2),
+                (("diameter",), 3),
+                (("antipode", "--rep", "0,0,0"), 3),
+                (("verify",), 2),
+                (("render", "--phi", "0:0", "-o", "t.svg"), 1),
+            ]
+        ],
+    )
+    def test_n_too_small(self, capsys, argv, floor):
+        # nothing runs, so no output file is written
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-n", str(floor - 1)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"tft: error: {argv[0]} requires -n >= {floor}\n"

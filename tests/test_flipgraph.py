@@ -64,19 +64,23 @@ def reference_edges(ref):
     }
 
 
-def reference_bfs(ref, source):
-    """Queue-driven breadth-first search over the sorted adjacency of
-    the reference edges."""
+def reference_adjacency(ref):
+    """Sorted neighbour lists built from the reference edges."""
     neighbours = [set() for _ in ref[0]]
     for u, v, _ in reference_edges(ref):
         neighbours[u].add(v)
         neighbours[v].add(u)
-    dist = [-1] * len(ref[0])
+    return [sorted(vs) for vs in neighbours]
+
+
+def reference_bfs(adjacency, source):
+    """Queue-driven breadth-first search over ``reference_adjacency``."""
+    dist = [-1] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in sorted(neighbours[u]):
+        for v in adjacency[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -169,6 +173,13 @@ class TestStructure:
         assert ((0, 0, 0, 0), (0, 0, 1, 6)) in wrap_edges(3)
         assert len(wrap_edges(3)) == 4
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_wrap_edges_are_not_covers(self, n):
+        # the length test alone keeps a wrap of s_n out of ``covers``
+        for u, v in wrap_edges(n):
+            assert v not in covers(u, n)
+            assert u not in covers(v, n)
+
     def test_connected(self):
         bfs_distances(build_graph(3), 0)  # raises if disconnected
         g = build_graph(3)
@@ -195,14 +206,14 @@ class TestStepTables:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bfs_equals_reference_bfs(self, n):
-        g, ref = build_graph(n), reference_steps(n)
-        sources = range(len(ref[0]))
+        g, adjacency = build_graph(n), reference_adjacency(reference_steps(n))
+        sources = range(len(adjacency))
         if n >= 7:
             sources = random.Random(n).sample(sources, 4)
         eccentricities = []
         for u in sources:
             dist = bfs_distances(g, u)
-            assert dist == reference_bfs(ref, u)
+            assert dist == reference_bfs(adjacency, u)
             eccentricities.append(max(dist))
         if n <= 6:
             # every source ran: the orbit sources must find the same maximum

@@ -14,7 +14,6 @@ from tftflip.representatives import (
     dual,
     format_rep,
     identity_rep,
-    is_wrap,
     join,
     leq,
     longest_rep,
@@ -111,9 +110,6 @@ class TestApplyGenerator:
     def test_wrap_cases(self):
         assert apply_generator(3, (1, 1, 1, 6), 3).rep == (1, 1, 0, 0)
         assert apply_generator(3, (0, 0, 0, 0), 3).rep == (0, 0, 1, 6)
-        assert is_wrap(3, (1, 1, 1, 6), 3)
-        assert is_wrap(3, (0, 0, 0, 0), 3)
-        assert not is_wrap(3, (0, 0, 1, 2), 3)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_is_an_involution(self, n):
