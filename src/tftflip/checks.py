@@ -10,6 +10,7 @@ the pass/fail contract; they still return their outcome honestly.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
@@ -69,18 +70,56 @@ def check_phi_roundtrip(n):
     return True, "phi_inv . phi is the identity on all triangulations"
 
 
+def _generator_tables(items, n, label, step):
+    """Each generator's action, applied once per item, as index tables:
+    ``tables[i][u]`` is the position in ``items`` of ``step(i, items[u])``.
+
+    Returns ``(tables, None)``, or ``(None, detail)`` when ``items``
+    holds a duplicate or a step leaves it.
+    """
+    index = {}
+    for u, x in enumerate(items):
+        if index.setdefault(x, u) != u:
+            return None, f"{x} enumerated twice"
+    tables = []
+    for i in range(n + 1):
+        row = array("i")
+        for x in items:
+            w = index.get(step(i, x))
+            if w is None:
+                return None, f"{label} {i} at {x} leaves the enumeration"
+            row.append(w)
+        tables.append(row)
+    return tables, None
+
+
+def _flip_tables(cts, n):
+    """The geometric flip, through the validating ``ColoredTriangulation.flip``."""
+    return _generator_tables(cts, n, "flip", lambda i, ct: ct.flip(i))
+
+
+def _action_tables(vectors, n):
+    """The vector action, one letter at a time through ``act_on_phi``."""
+    return _generator_tables(
+        vectors, n, "generator", lambda i, v: coxeter.act_on_phi((i,), v)
+    )
+
+
 def check_flip_involution(n):
     cts = geometry.enumerate_ctft(n)
-    for ct in cts:
-        v = ct.phi()
+    flips, failure = _flip_tables(cts, n)
+    if failure:
+        return False, failure
+    for u, ct in enumerate(cts):
+        bits = ct.phi().bits
         for i in range(n + 1):
-            flipped = ct.flip(i)
-            if flipped.flip(i) != ct:
+            w = flips[i][u]
+            if flips[i][w] != u:
                 return False, f"flip {i} is not an involution at {ct}"
-            if i in (0, n) and flipped == ct:
+            if i in (0, n) and w == u:
                 return False, f"flip {i} fixes {ct} (short chords never stick)"
-            fixed = 0 < i < n and v.bits[i - 1] == v.bits[i]
-            if (flipped == ct) != fixed:
+            fixed = 0 < i < n and bits[i - 1] == bits[i]
+            if (w == u) != fixed:
                 return False, f"flip {i} fixed-point rule fails at {ct}"
     return True, "flips are involutions; fixed exactly when adjacent bits agree"
 
@@ -90,16 +129,23 @@ def check_flip_involution(n):
 
 def check_relations(n):
     # each relation as an affine-map identity and as the identity
-    # action on every phi vector
+    # permutation of the phi vectors, composed from one-letter tables
     rels = coxeter.relation_words(n)
     vectors = geometry.all_phi_vectors(n)
+    acts, failure = _action_tables(vectors, n)
+    if failure:
+        return False, failure
     failures = []
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
             failures.append(f"{name} not the identity map")
-        moved = next((v for v in vectors if coxeter.act_on_phi(word, v) != v), None)
+        image = range(len(vectors))
+        for letter in reversed(word):
+            row = acts[letter]
+            image = [row[w] for w in image]
+        moved = next((u for u, w in enumerate(image) if w != u), None)
         if moved is not None:
-            failures.append(f"{name} moves vector {moved}")
+            failures.append(f"{name} moves vector {vectors[moved]}")
     if failures:
         return False, "; ".join(failures)
     return True, f"all {len(rels)} defining relations hold"
@@ -134,11 +180,18 @@ def check_volumes(n):
 
 
 def check_action_matches_geometry(n):
-    for v in geometry.all_phi_vectors(n):
-        ct = geometry.phi_inv(v)
+    vectors = geometry.all_phi_vectors(n)
+    cts = [geometry.phi_inv(v) for v in vectors]
+    acts, failure = _action_tables(vectors, n)
+    if not failure:
+        flips, failure = _flip_tables(cts, n)
+    if failure:
+        return False, failure
+    phis = [ct.phi() for ct in cts]
+    for u, v in enumerate(vectors):
         for i in range(n + 1):
-            via_vector = coxeter.act_on_phi((i,), v)
-            via_flip = ct.flip(i).phi()
+            via_vector = vectors[acts[i][u]]
+            via_flip = phis[flips[i][u]]
             if via_vector != via_flip:
                 return False, f"generator {i} on {v}: {via_vector} != {via_flip}"
     return True, "the vector action is the phi-conjugate of the geometric flip"
@@ -453,10 +506,18 @@ SUITES: list[Check] = [
     Check("counting", "geometry", 8, check_counting),
     Check("short-chords", "geometry", 8, check_short_chords),
     Check("phi-roundtrip", "geometry", 8, check_phi_roundtrip),
-    Check("flip-involution", "geometry", 6, check_flip_involution),
-    Check("relations", "coxeter", 6, check_relations),
+    # one validated flip per triangulation and colour: 8.8 s at n = 9,
+    # 23 s / 56 MiB at n = 10, 61 s / 110 MiB at n = 11
+    Check("flip-involution", "geometry", 10, check_flip_involution),
+    # one act_on_phi call per vector and letter, words composed as
+    # tables: 11 s at n = 12, 25 s / 70 MiB at n = 13, 59 s / 135 MiB
+    # at n = 14
+    Check("relations", "coxeter", 13, check_relations),
     Check("stabilizer", "coxeter", 6, check_stabilizer),
     Check("volumes", "coxeter", 10, check_volumes),
+    # 0.54 s at n = 6, 3.7 s at n = 8; held at 5 because a cap of 6
+    # adds an ok row to verify -n 6, which perfbench/expected_verify.json
+    # pins
     Check("action-vs-geometry", "coxeter", 5, check_action_matches_geometry),
     Check("generator-lengths", "coxeter", 10, check_generator_lengths),
     Check("rep-lengths", "coxeter", 5, check_rep_lengths),

@@ -93,18 +93,127 @@ def test_relations_catches_a_non_relation(monkeypatch):
     )
 
 
-def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
-    # the registry's cap is the only cap: run directly above it, the
-    # vector test still runs, so an action that moves one vector must fail
+def wrong_letter(monkeypatch, letter, v, answer):
+    """Make ``coxeter.act_on_phi`` send ``v`` to ``answer`` under the
+    one-letter word ``(letter,)`` and act correctly everywhere else."""
     act_on_phi = coxeter.act_on_phi
+
+    def patched(word, x):
+        return answer if (tuple(word), x) == ((letter,), v) else act_on_phi(word, x)
+
+    monkeypatch.setattr(coxeter, "act_on_phi", patched)
+
+
+def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
+    # the vector test reads one table per letter, so break one letter
+    # on one vector: s_1 fixes both the last vector and the base, and
+    # now sends the last vector to the base
     moved = geometry.all_phi_vectors(7)[-1]
-    base = coxeter.base_vector(7)
-    monkeypatch.setattr(
-        coxeter, "act_on_phi", lambda word, v: base if v == moved else act_on_phi(word, v)
+    wrong_letter(monkeypatch, 1, moved, coxeter.base_vector(7))
+    assert checks.check_relations(7) == (False, "; ".join([
+        f"s1^2 moves vector {moved}",
+        *(f"(s1 s{j})^2 moves vector {moved}" for j in range(3, 7)),
+        "(s1 s7)^2 moves vector 10:1111110",
+        f"(s1 s2)^3 moves vector {moved}",
+        "(s0 s1)^4 moves vector 0:0111111",
+    ]))
+
+
+CTS = geometry.enumerate_ctft(N)
+VECTORS = geometry.all_phi_vectors(N)
+
+
+def wrong_flip(monkeypatch, ct, i, answer):
+    """Make ``ColoredTriangulation.flip`` return ``answer`` at ``(ct, i)``."""
+    flip = geometry.ColoredTriangulation.flip
+
+    def patched(self, j):
+        return answer if (self, j) == (ct, i) else flip(self, j)
+
+    monkeypatch.setattr(geometry.ColoredTriangulation, "flip", patched)
+
+
+def test_flip_involution_catches_a_flip_to_another_triangulation(monkeypatch):
+    assert CTS[0].flip(0) == CTS[52]
+    wrong_flip(monkeypatch, CTS[0], 0, CTS[5])
+    assert checks.check_flip_involution(N) == (
+        False, f"flip 0 is not an involution at {CTS[0]}"
     )
-    ok, detail = checks.check_relations(7)
-    assert not ok
-    assert detail.endswith(f"moves vector {moved}")
+
+
+def test_flip_involution_catches_a_flip_out_of_the_enumeration(monkeypatch):
+    m = N + 4
+    # a triangulation of the heptagon with the inner triangle 0, 2, 4
+    inner = geometry.ColoredTriangulation(
+        N, tuple(geometry.chord(x, y, m) for x, y in ((0, 2), (2, 4), (0, 4), (4, 6)))
+    )
+    assert inner.violations() == ["inner triangle [0, 2, 4] with three chord sides"]
+    wrong_flip(monkeypatch, CTS[0], 0, inner)
+    assert checks.check_flip_involution(N) == (
+        False, f"flip 0 at {CTS[0]} leaves the enumeration"
+    )
+
+
+def test_flip_involution_catches_a_duplicate_triangulation(monkeypatch):
+    monkeypatch.setattr(geometry, "enumerate_ctft", lambda n: CTS + [CTS[3]])
+    assert checks.check_flip_involution(N) == (False, f"{CTS[3]} enumerated twice")
+
+
+def test_action_vs_geometry_catches_one_wrong_letter(monkeypatch):
+    v = VECTORS[10]
+    assert (str(v), str(coxeter.act_on_phi((1,), v))) == ("1:010", "1:100")
+    wrong_letter(monkeypatch, 1, v, coxeter.base_vector(N))
+    assert checks.check_action_matches_geometry(N) == (
+        False, "generator 1 on 1:010: 0:000 != 1:100"
+    )
+
+
+def counted(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that every call appends its arguments."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_flip_involution_flips_each_triangulation_once_per_color(monkeypatch):
+    n = 5
+    calls = counted(monkeypatch, geometry.ColoredTriangulation, "flip")
+    assert checks.check_flip_involution(n)[0]
+    assert len(calls) == (n + 4) * 2**n * (n + 1) == 1728
+
+
+def test_relations_acts_with_one_letter_per_vector(monkeypatch):
+    n = 5
+    calls = counted(monkeypatch, coxeter, "act_on_phi")
+    assert checks.check_relations(n)[0]
+    assert len(calls) == (n + 4) * 2**n * (n + 1) == 1728
+    assert {len(word) for word, _ in calls} == {1}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_flip_tables_equal_a_linear_search(n):
+    cts = geometry.enumerate_ctft(n)
+    flips, failure = checks._flip_tables(cts, n)
+    assert failure is None
+    for i, row in enumerate(flips):
+        assert list(row) == [cts.index(ct.flip(i)) for ct in cts]
+        assert [row[w] for w in row] == list(range(len(cts)))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_action_tables_equal_act_on_phi(n):
+    vectors = geometry.all_phi_vectors(n)
+    acts, failure = checks._action_tables(vectors, n)
+    assert failure is None
+    for i, row in enumerate(acts):
+        assert [vectors[w] for w in row] == [coxeter.act_on_phi((i,), v) for v in vectors]
+        assert [row[w] for w in row] == list(range(len(vectors)))
 
 
 def test_stabilizer_catches_a_short_orbit(monkeypatch):
