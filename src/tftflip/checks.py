@@ -13,6 +13,7 @@ import random
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from . import coxeter, flipgraph, geometry
@@ -70,39 +71,28 @@ def check_phi_roundtrip(n):
     return True, "phi_inv . phi is the identity on all triangulations"
 
 
-def _generator_tables(items, n, label, step):
-    """Each generator's action, applied once per item, as index tables:
-    ``tables[i][u]`` is the position in ``items`` of ``step(i, items[u])``.
+def _flip_tables(cts, n):
+    """Each flip, applied once per triangulation through the validating
+    ``ColoredTriangulation.flip``, as index tables: ``tables[i][u]`` is
+    the position in ``cts`` of ``cts[u].flip(i)``.
 
-    Returns ``(tables, None)``, or ``(None, detail)`` when ``items``
-    holds a duplicate or a step leaves it.
+    Returns ``(tables, None)``, or ``(None, detail)`` when ``cts`` holds
+    a duplicate or a flip leaves it.
     """
     index = {}
-    for u, x in enumerate(items):
-        if index.setdefault(x, u) != u:
-            return None, f"{x} enumerated twice"
+    for u, ct in enumerate(cts):
+        if index.setdefault(ct, u) != u:
+            return None, f"{ct} enumerated twice"
     tables = []
     for i in range(n + 1):
         row = array("i")
-        for x in items:
-            w = index.get(step(i, x))
+        for ct in cts:
+            w = index.get(ct.flip(i))
             if w is None:
-                return None, f"{label} {i} at {x} leaves the enumeration"
+                return None, f"flip {i} at {ct} leaves the enumeration"
             row.append(w)
         tables.append(row)
     return tables, None
-
-
-def _flip_tables(cts, n):
-    """The geometric flip, through the validating ``ColoredTriangulation.flip``."""
-    return _generator_tables(cts, n, "flip", lambda i, ct: ct.flip(i))
-
-
-def _action_tables(vectors, n):
-    """The vector action, one letter at a time through ``act_on_phi``."""
-    return _generator_tables(
-        vectors, n, "generator", lambda i, v: coxeter.act_on_phi((i,), v)
-    )
 
 
 def check_flip_involution(n):
@@ -129,23 +119,22 @@ def check_flip_involution(n):
 
 def check_relations(n):
     # each relation as an affine-map identity and as the identity
-    # permutation of the phi vectors, composed from one-letter tables
+    # permutation of the vertices, composed from the flip graph's step
+    # tables
     rels = coxeter.relation_words(n)
-    vectors = geometry.all_phi_vectors(n)
-    acts, failure = _action_tables(vectors, n)
-    if failure:
-        return False, failure
+    steps = flipgraph.build_graph(n).steps
     failures = []
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
             failures.append(f"{name} not the identity map")
-        image = range(len(vectors))
+        image = range(len(steps[0]))
         for letter in reversed(word):
-            row = acts[letter]
+            row = steps[letter]
             image = [row[w] for w in image]
         moved = next((u for u, w in enumerate(image) if w != u), None)
         if moved is not None:
-            failures.append(f"{name} moves vector {vectors[moved]}")
+            vector = reps.rep_to_phi(flipgraph.vertex_rep(moved, n), n)
+            failures.append(f"{name} moves vector {vector}")
     if failures:
         return False, "; ".join(failures)
     return True, f"all {len(rels)} defining relations hold"
@@ -166,8 +155,6 @@ def check_stabilizer(n):
 
 def check_volumes(n):
     det_a, det_b, ratio = coxeter.gram_and_volumes(n)
-    from fractions import Fraction
-
     expect_b = Fraction(4 ** (n - 1), n)
     expect_ratio = (n + 4) * 2**n
     if det_a != 1:
@@ -180,20 +167,24 @@ def check_volumes(n):
 
 
 def check_action_matches_geometry(n):
-    vectors = geometry.all_phi_vectors(n)
+    # one letter on one vertex three ways: the vector action, the flip
+    # and the step table; the triangulations are listed in id order, so
+    # flip and step table entries are both ids
+    vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
     cts = [geometry.phi_inv(v) for v in vectors]
-    acts, failure = _action_tables(vectors, n)
-    if not failure:
-        flips, failure = _flip_tables(cts, n)
+    flips, failure = _flip_tables(cts, n)
     if failure:
         return False, failure
+    steps = flipgraph.build_graph(n).steps
     phis = [ct.phi() for ct in cts]
     for u, v in enumerate(vectors):
         for i in range(n + 1):
-            via_vector = vectors[acts[i][u]]
             via_flip = phis[flips[i][u]]
+            via_vector = coxeter.act_on_phi((i,), v)
             if via_vector != via_flip:
                 return False, f"generator {i} on {v}: {via_vector} != {via_flip}"
+            if steps[i][u] != flips[i][u]:
+                return False, f"step table {i} on {v}: {vectors[steps[i][u]]} != {via_flip}"
     return True, "the vector action is the phi-conjugate of the geometric flip"
 
 
@@ -496,7 +487,7 @@ def check_rotation_automorphism(n):
     defect = flipgraph.rotation_defect(flipgraph.build_graph(n))
     if defect is not None:
         i, v = defect
-        return False, f"rotating the last exponent does not commute with s_{i} at vertex {v}"
+        return False, f"rotating e_n does not commute with s_{i} at vertex {v}"
     return True, "right multiplication by a_n is a graph automorphism"
 
 
@@ -509,10 +500,10 @@ SUITES: list[Check] = [
     # one validated flip per triangulation and colour: 8.8 s at n = 9,
     # 23 s / 56 MiB at n = 10, 61 s / 110 MiB at n = 11
     Check("flip-involution", "geometry", 10, check_flip_involution),
-    # one act_on_phi call per vector and letter, words composed as
-    # tables: 11 s at n = 12, 25 s / 70 MiB at n = 13, 59 s / 135 MiB
-    # at n = 14
-    Check("relations", "coxeter", 13, check_relations),
+    # words composed from the flip graph's step tables: 2.6 s / 26 MiB
+    # at n = 12, 6.7 s / 35 MiB at n = 13, 15 s / 57 MiB at n = 14, the
+    # largest n build_graph accepts
+    Check("relations", "coxeter", 14, check_relations),
     Check("stabilizer", "coxeter", 6, check_stabilizer),
     Check("volumes", "coxeter", 10, check_volumes),
     # 0.54 s at n = 6, 3.7 s at n = 8; held at 5 because a cap of 6
@@ -559,8 +550,10 @@ def run_suite(n: int, suite: str = "all"):
     """Run the selected checks at a single n.
 
     Yields ``(name, status, detail)`` rows with status 'ok', 'FAIL',
-    'finding' or 'skip'.  A check is skipped above its n-cap; call
-    ``Check.run(n)`` to run one check at any n.
+    'finding' or 'skip'.  A check is skipped above its n-cap.
+    ``Check.run(n)`` runs one check above its cap, except that a check
+    which builds the flip graph raises ``ValueError`` above
+    ``flipgraph.MAX_GRAPH_N``.
     """
     for check in SUITES:
         if suite != "all" and check.suite != suite:

@@ -10,7 +10,9 @@ composed here as signed permutations with even integer translations.
 The same words also act on phi vectors, through the representative
 action of :mod:`tftflip.representatives`; that action is the
 phi-conjugate of the geometric flip and is cross-checked against
-:mod:`tftflip.geometry` in the test suite.
+:mod:`tftflip.geometry` in the test suite, and by the
+``action-vs-geometry`` check of ``tft verify``, which also compares
+both with the flip graph's step tables.
 
 The exact word-length function counts reflection hyperplanes
 separating the base alcove 0 < x_1 < ... < x_n < 1 from its image,
@@ -28,7 +30,6 @@ from . import representatives as reps
 from .geometry import PhiVector
 
 __all__ = [
-    "Word",
     "AffineMap",
     "word_to_affine",
     "act_on_phi",
@@ -42,8 +43,6 @@ __all__ = [
     "gram_and_volumes",
     "format_word",
 ]
-
-Word = tuple  # sequence of generator indices in 0..n
 
 
 def _check_word(word: Sequence[int], n: int) -> None:

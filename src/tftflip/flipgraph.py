@@ -20,6 +20,7 @@ from operator import or_
 from typing import Iterator, NamedTuple
 
 from . import representatives as reps
+from .coxeter import AffineMap, gn_word, left_descents, word_to_affine
 from .representatives import Rep
 
 __all__ = [
@@ -287,8 +288,6 @@ def shortest_representatives(n: int) -> list[tuple[Rep, tuple[int, ...]]]:
     resulting word length equals the graph distance from the base
     vertex (oracle-checked in the tests).
     """
-    from .coxeter import AffineMap, gn_word, left_descents, word_to_affine
-
     if n < 3:
         raise ValueError("shortest representatives require n >= 3")
     cutoff = diameter(n)

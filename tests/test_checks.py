@@ -104,21 +104,6 @@ def wrong_letter(monkeypatch, letter, v, answer):
     monkeypatch.setattr(coxeter, "act_on_phi", patched)
 
 
-def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
-    # the vector test reads one table per letter, so break one letter
-    # on one vector: s_1 fixes both the last vector and the base, and
-    # now sends the last vector to the base
-    moved = geometry.all_phi_vectors(7)[-1]
-    wrong_letter(monkeypatch, 1, moved, coxeter.base_vector(7))
-    assert checks.check_relations(7) == (False, "; ".join([
-        f"s1^2 moves vector {moved}",
-        *(f"(s1 s{j})^2 moves vector {moved}" for j in range(3, 7)),
-        "(s1 s7)^2 moves vector 10:1111110",
-        f"(s1 s2)^3 moves vector {moved}",
-        "(s0 s1)^4 moves vector 0:0111111",
-    ]))
-
-
 CTS = geometry.enumerate_ctft(N)
 VECTORS = geometry.all_phi_vectors(N)
 
@@ -168,6 +153,14 @@ def test_action_vs_geometry_catches_one_wrong_letter(monkeypatch):
     )
 
 
+def test_action_vs_geometry_catches_one_wrong_flip(monkeypatch):
+    assert CTS[0].phi() == coxeter.base_vector(N)
+    wrong_flip(monkeypatch, CTS[0], 0, CTS[5])
+    assert checks.check_action_matches_geometry(N) == (
+        False, "generator 0 on 0:000: 6:100 != 0:101"
+    )
+
+
 def counted(monkeypatch, owner, name):
     """Wrap ``owner.name`` so that every call appends its arguments."""
     calls = []
@@ -188,12 +181,13 @@ def test_flip_involution_flips_each_triangulation_once_per_color(monkeypatch):
     assert len(calls) == (n + 4) * 2**n * (n + 1) == 1728
 
 
-def test_relations_acts_with_one_letter_per_vector(monkeypatch):
-    n = 5
-    calls = counted(monkeypatch, coxeter, "act_on_phi")
-    assert checks.check_relations(n)[0]
-    assert len(calls) == (n + 4) * 2**n * (n + 1) == 1728
-    assert {len(word) for word, _ in calls} == {1}
+def test_relations_composes_the_step_tables(monkeypatch):
+    # the vector half reads the flip graph's tables, built once, and
+    # applies no vector action of its own
+    acts = counted(monkeypatch, coxeter, "act_on_phi")
+    builds = counted(monkeypatch, flipgraph, "build_graph")
+    assert checks.check_relations(5)[0]
+    assert (len(acts), builds) == (0, [(5,)])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -204,16 +198,6 @@ def test_flip_tables_equal_a_linear_search(n):
     for i, row in enumerate(flips):
         assert list(row) == [cts.index(ct.flip(i)) for ct in cts]
         assert [row[w] for w in row] == list(range(len(cts)))
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_action_tables_equal_act_on_phi(n):
-    vectors = geometry.all_phi_vectors(n)
-    acts, failure = checks._action_tables(vectors, n)
-    assert failure is None
-    for i, row in enumerate(acts):
-        assert [vectors[w] for w in row] == [coxeter.act_on_phi((i,), v) for v in vectors]
-        assert [row[w] for w in row] == list(range(len(vectors)))
 
 
 def test_stabilizer_catches_a_short_orbit(monkeypatch):
@@ -240,6 +224,51 @@ def broken_tables(monkeypatch, breakage):
         return g
 
     monkeypatch.setattr(flipgraph, "build_graph", patched)
+
+
+def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
+    # the vector test composes the step tables, so break one entry: s_1
+    # fixes both the last vector and the base, and now sends the last
+    # vector to the base; each relation names its smallest moved id
+    n = 7
+    moved = geometry.all_phi_vectors(n)[-1]
+    last = flipgraph.vertex_id(reps.phi_to_rep(moved), n)
+    assert reps.phi_to_rep(coxeter.base_vector(n)) == reps.identity_rep(n)  # id 0
+    s1 = flipgraph.build_graph(n).steps[1]
+    assert (s1[last], s1[0]) == (last, 0)
+
+    def last_to_base(steps, n):
+        steps[1][last] = 0
+
+    broken_tables(monkeypatch, last_to_base)
+    assert checks.check_relations(n) == (False, "; ".join([
+        f"s1^2 moves vector {moved}",
+        *(f"(s1 s{j})^2 moves vector {moved}" for j in range(3, 7)),
+        "(s1 s7)^2 moves vector 10:1111110",
+        f"(s1 s2)^3 moves vector {moved}",
+        "(s0 s1)^4 moves vector 1:0011111",
+    ]))
+
+
+def test_one_wrong_step_fails_action_vs_geometry_and_relations(monkeypatch):
+    # s_1 sends 1:010 (id 19) to 1:100; send it to the base (id 0)
+    # instead, leaving the vector action and the flip as they are
+    u = flipgraph.vertex_id(reps.phi_to_rep(VECTORS[10]), N)
+    assert (str(VECTORS[10]), u) == ("1:010", 19)
+
+    def to_base(steps, n):
+        steps[1][u] = 0
+
+    broken_tables(monkeypatch, to_base)
+    assert checks.check_action_matches_geometry(N) == (
+        False, "step table 1 on 1:010: 0:000 != 1:100"
+    )
+    assert checks.check_relations(N) == (False, "; ".join([
+        "s1^2 moves vector 1:010",
+        "(s1 s3)^2 moves vector 1:011",
+        "(s1 s2)^3 moves vector 1:001",
+        "(s0 s1)^4 moves vector 2:000",
+    ]))
 
 
 def join_fixed_vertices(steps, n):
@@ -294,6 +323,20 @@ def test_diameter_bfs_catches_a_disconnected_table(monkeypatch):
         False,
         "flip graph is disconnected: invariant violated",
     )
+
+
+def test_checks_that_build_the_graph_are_capped_by_it(monkeypatch):
+    # build_graph raises ValueError above MAX_GRAPH_N, which would stop
+    # tft verify -n <cap> halfway with a usage error
+    calls = counted(monkeypatch, flipgraph, "build_graph")
+    builders = {}
+    for check in checks.SUITES:
+        calls.clear()
+        assert check.run(N)[0], check.name
+        if calls:
+            builders[check.name] = check.max_n
+    assert {"relations", "action-vs-geometry", "diameter-bfs"} <= builders.keys()
+    assert max(builders.values()) <= flipgraph.MAX_GRAPH_N
 
 
 def test_graph_suite_is_capped_at_n12():
