@@ -45,24 +45,21 @@ def cmd_distance(args) -> int:
     n = args.n
     r = reps.parse_rep(getattr(args, "from"), n)
     s = reps.parse_rep(args.to, n)
-    method = args.method
-    if n < 3 and method != "bfs":
+    if args.method == "bfs" or n < 3:
         # nothing is proved about the closed form below n = 3
-        method = "bfs"
-    results = {}
-    if method in ("formula", "both"):
-        results["formula"] = flipgraph.distance_formula(r, s, n)
-    if method in ("bfs", "both"):
-        results["bfs"] = flipgraph.bfs_distance(n, r, s)
-    if method == "both":
-        if results["formula"] != results["bfs"]:
-            return _fail(
-                f"formula {results['formula']} != bfs {results['bfs']} "
-                f"for {reps.format_rep(r)} -> {reps.format_rep(s)}"
-            )
-        print(f"{results['formula']} (formula=bfs)")
-    else:
-        print(next(iter(results.values())))
+        print(flipgraph.bfs_distance(n, r, s))
+        return 0
+    formula = flipgraph.distance_formula(r, s, n)
+    if args.method == "formula":
+        print(formula)
+        return 0
+    bfs = flipgraph.bfs_distance(n, r, s)
+    if formula != bfs:
+        return _fail(
+            f"formula {formula} != bfs {bfs} "
+            f"for {reps.format_rep(r)} -> {reps.format_rep(s)}"
+        )
+    print(f"{formula} (formula=bfs)")
     return 0
 
 

@@ -62,9 +62,8 @@ class AffineMap:
     """x |-> M x + t with M a signed permutation and t in (2Z)^n.
 
     Row i of M reads source coordinate ``cols[i]`` with sign
-    ``signs[i]``.  The type is closed under composition and inversion,
-    and equality of maps is the group-equality oracle: the realization
-    is faithful.
+    ``signs[i]``.  The type is closed under composition, and equality
+    of maps is the group-equality oracle: the realization is faithful.
     """
 
     n: int
@@ -106,16 +105,6 @@ class AffineMap:
             (self.cols, self.signs, self.shift), (other.cols, other.signs, other.shift)
         )
         return AffineMap(self.n, *fields)
-
-    def inverse(self) -> "AffineMap":
-        cols = [0] * self.n
-        signs = [1] * self.n
-        shift = [0] * self.n
-        for i, (c, s, t) in enumerate(zip(self.cols, self.signs, self.shift)):
-            cols[c] = i
-            signs[c] = s
-            shift[c] = -s * t
-        return AffineMap(self.n, tuple(cols), tuple(signs), tuple(shift))
 
     def apply(self, x: Sequence) -> tuple:
         return tuple(
@@ -161,7 +150,7 @@ def act_on_phi(word: Sequence[int], v: PhiVector) -> PhiVector:
     _check_word(word, n)
     r = reps.phi_to_rep(v)  # valid whenever v is
     for letter in reversed(word):
-        r = reps._apply_generator(letter, r, n).rep
+        r = reps._apply_generator(letter, r, n)
     return reps.rep_to_phi(r, n)
 
 

@@ -136,11 +136,13 @@ def apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
     check_rep(r, n)
     if not 0 <= i <= n:
         raise ValueError(f"generator index {i} out of range 0..{n}")
-    return _apply_generator(i, r, n)
+    s = _apply_generator(i, r, n)
+    return GeneratorResult(s, s is not r)
 
 
-def _apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
-    """The body of :func:`apply_generator`, for arguments already checked."""
+def _apply_generator(i: int, r: Rep, n: int) -> Rep:
+    """The body of :func:`apply_generator`, for arguments already
+    checked; returns ``r`` itself when s_i fixes the coset."""
     e = list(r)
     if i == 0:
         # moving the short chord 0: the center -sum(r) steps by -1 on
@@ -148,7 +150,7 @@ def _apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
         # counterclockwise labels (the reverse of one published
         # convention -- see the verification findings)
         e[0] ^= 1
-        return GeneratorResult(tuple(e), True)
+        return tuple(e)
     if i == n:
         if e[n - 1] == 1:
             e[n - 1] = 0
@@ -156,11 +158,11 @@ def _apply_generator(i: int, r: Rep, n: int) -> GeneratorResult:
         else:
             e[n - 1] = 1
             e[n] = (e[n] - 1) % (n + 4)
-        return GeneratorResult(tuple(e), True)
+        return tuple(e)
     if e[i - 1] == e[i]:
-        return GeneratorResult(r, False)
+        return r
     e[i - 1], e[i] = e[i], e[i - 1]
-    return GeneratorResult(tuple(e), True)
+    return tuple(e)
 
 
 # -- dominance order ------------------------------------------------
@@ -191,9 +193,9 @@ def covers(r: Rep, n: int) -> list[Rep]:
     base = rep_length(r)
     out = set()
     for i in range(n + 1):
-        res = apply_generator(i, r, n)
-        if res.moved and rep_length(res.rep) == base + 1:
-            out.add(res.rep)
+        s = _apply_generator(i, r, n)
+        if rep_length(s) == base + 1:
+            out.add(s)
     return sorted(out)
 
 

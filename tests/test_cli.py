@@ -86,6 +86,15 @@ class TestDistance:
         assert code == 0
         assert out.strip().isdigit()
 
+    def test_disagreement_fails_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(tftflip.flipgraph, "distance_formula", lambda r, s, n: 99)
+        code, out, err = run(
+            capsys, "distance", "-n", "3",
+            "--from", "0,0,0,0", "--to", "1,1,1,2",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: formula 99 != bfs 14 for 0,0,0,0 -> 1,1,1,2\n"
+
     def test_both_methods_at_n12_within_seconds(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(
@@ -236,13 +245,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "-n", str(n))
         assert code == 0
         golden = Path(__file__).with_name("data") / f"verify_n{n}.txt"
-        assert out.encode() == golden.read_bytes()
-
-    def test_output_ignores_tft_color(self, capsys, monkeypatch):
-        monkeypatch.setenv("TFT_COLOR", "1")
-        code, out, _ = run(capsys, "verify", "-n", "3")
-        assert code == 0
-        golden = Path(__file__).with_name("data") / "verify_n3.txt"
         assert out.encode() == golden.read_bytes()
 
     def test_caps_are_not_an_option(self, capsys):

@@ -35,9 +35,11 @@ class TestAffineMap:
         assert AffineMap.generator(3, 3).apply(x) == (10, 20, -28)
 
     def test_compose_and_inverse(self):
-        m = word_to_affine(3, (3, 1, 0, 2))
-        assert m.compose(m.inverse()).is_identity()
-        assert m.inverse().compose(m).is_identity()
+        # every letter is an involution, so a word's reversal is its inverse
+        word = (3, 1, 0, 2)
+        m, m_inv = word_to_affine(3, word), word_to_affine(3, word[::-1])
+        assert m.compose(m_inv).is_identity()
+        assert m_inv.compose(m).is_identity()
 
     def test_compose_order(self):
         # word (0, 1) means s_0 applied after s_1

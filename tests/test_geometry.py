@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tftflip.geometry import (
@@ -25,27 +27,29 @@ T0 = fan(3)  # chords {6,1},{5,1},{4,1},{3,1} colored 0..3
 
 
 def brute_force_triangulations(m):
-    """All triangulations of an m-gon by recursive splitting (oracle)."""
+    """All triangulations of an m-gon by recursive splitting (oracle),
+    as a dict from chord set to triangle-freeness: no face has three
+    chord sides."""
+
+    def is_chord(a, b):
+        return (b - a) % m not in (1, m - 1)
 
     def tri(vertices):
         if len(vertices) < 3:
-            yield frozenset()
+            yield frozenset(), True
             return
         v0, vlast = vertices[0], vertices[-1]
         for k in range(1, len(vertices) - 1):
             apex = vertices[k]
-            for left in tri(vertices[: k + 1]):
-                for right in tri(vertices[k:]):
-                    extra = set()
-                    for a, b in ((v0, apex), (apex, vlast)):
-                        if (b - a) % m not in (1, m - 1):
-                            extra.add(frozenset((a, b)))
-                    yield left | right | frozenset(extra)
+            sides = ((v0, apex), (apex, vlast), (v0, vlast))
+            inner = all(is_chord(*s) for s in sides)
+            extra = frozenset(frozenset(s) for s in sides[:2] if is_chord(*s))
+            for left, left_free in tri(vertices[: k + 1]):
+                for right, right_free in tri(vertices[k:]):
+                    free = left_free and right_free and not inner
+                    yield left | right | extra, free
 
-    seen = set()
-    for chords in tri(list(range(m))):
-        seen.add(chords)
-    return seen
+    return dict(tri(list(range(m))))
 
 
 class TestChords:
@@ -142,14 +146,16 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_against_brute_force(self, n):
-        """Independent path: enumerate all polygon triangulations,
-        filter the triangle-free ones, and compare chord sets."""
+        """Independent path: enumerate all polygon triangulations, keep
+        those with no face bounded by three chords, and compare chord
+        sets; on every triangulation that definition must agree with
+        the characterization by exactly two short chords."""
         m = n + 4
-        tf_chord_sets = set()
-        for chords in brute_force_triangulations(m):
-            shorts = sum(1 for c in chords if is_short(c, m))
-            if shorts == 2:
-                tf_chord_sets.add(chords)
+        triangulations = brute_force_triangulations(m)
+        assert len(triangulations) == math.comb(2 * n + 4, n + 2) // (n + 3)
+        for chords, free in triangulations.items():
+            assert free == (sum(is_short(c, m) for c in chords) == 2)
+        tf_chord_sets = {chords for chords, free in triangulations.items() if free}
         enumerated = {frozenset(ct.chords) for ct in enumerate_ctft(n)}
         assert enumerated == tf_chord_sets
         assert len(enumerate_ctft(n)) == 2 * len(tf_chord_sets)

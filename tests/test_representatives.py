@@ -119,6 +119,7 @@ class TestApplyGenerator:
                 again = apply_generator(i, once.rep, n)
                 assert again.rep == r
                 assert once.moved == again.moved
+                assert once.moved == (once.rep != r)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_tracks_cosets(self, n):
