@@ -168,6 +168,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except RuntimeError as exc:
+        return _fail(str(exc))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -292,7 +292,7 @@ def _exact_sqrt(x: Fraction) -> Fraction:
     num, den = x.numerator, x.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
-        raise ValueError(f"{x} is not a rational square")
+        raise RuntimeError(f"{x} is not a rational square")
     return Fraction(rn, rd)
 
 
@@ -310,7 +310,8 @@ def gram_and_volumes(n: int) -> tuple[int, Fraction, Fraction]:
         raise ValueError("n must be >= 2")
     A = [[Fraction(min(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
     det_a = _det(A)
-    assert det_a.denominator == 1
+    if det_a.denominator != 1:
+        raise RuntimeError(f"det A = {det_a} is not an integer")
     B = [
         [
             Fraction(4, n) * min(i, j) * min(n - i, n - j)

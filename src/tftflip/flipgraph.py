@@ -117,17 +117,18 @@ def colored_edges(g: FlipGraph) -> Iterator[tuple[int, int, int]]:
             yield u, v, color
 
 
-def rotation_defect(g: FlipGraph) -> tuple[int, int] | None:
-    """The first (color, id) at which stepping e_n by +1 modulo n+4
-    does not commute with the step table, or None when the rotation is
-    an automorphism of the colored graph."""
+def rotation_defect(g: FlipGraph) -> str | None:
+    """Names the first color and id at which stepping e_n by +1 modulo
+    n+4 does not commute with the step table, or None when the rotation
+    is an automorphism of the colored graph."""
     m = g.n + 4
     rot = [v + 1 if v % m < m - 1 else v + 1 - m for v in range(len(g.steps[0]))]
     for i, step in enumerate(g.steps):
         after = [step[v] for v in rot]
         before = [rot[v] for v in step]
         if after != before:
-            return i, next(v for v, (a, b) in enumerate(zip(after, before)) if a != b)
+            v = next(v for v, (a, b) in enumerate(zip(after, before)) if a != b)
+            return f"rotating e_n does not commute with s_{i} at vertex {v}"
     return None
 
 
@@ -217,9 +218,7 @@ def bfs_diameter(n: int) -> int:
     g = build_graph(n)
     defect = rotation_defect(g)
     if defect is not None:
-        raise RuntimeError(
-            f"rotating e_n does not commute with s_{defect[0]} at vertex {defect[1]}"
-        )
+        raise RuntimeError(defect)
     ids = list(range(len(g.steps[0])))
     for i, step in enumerate(g.steps):
         if list(map(step.__getitem__, step)) != ids:

@@ -246,7 +246,8 @@ class ColoredTriangulation:
         # the apexes of the chord's two triangles (as in triangles(),
         # every 3-cycle of edges bounds a face) span the other diagonal
         apexes = frozenset(nbrs[x] & nbrs[y])
-        assert len(apexes) == 2, "each chord lies in exactly two triangles"
+        if len(apexes) != 2:
+            raise RuntimeError(f"chord {i} of {self} lies in {len(apexes)} triangles, not 2")
         flipped = ColoredTriangulation(
             self.n, self.chords[:i] + (apexes,) + self.chords[i + 1 :]
         )

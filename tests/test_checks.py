@@ -1,11 +1,14 @@
 """The rewritten oracle checks must still fail on wrong answers."""
 
+import random
+import time
 from array import array
 
 import pytest
 
 from tftflip import checks, coxeter, flipgraph, geometry
 from tftflip import representatives as reps
+from tftflip.cli import main
 
 
 def wrong_at(fn, pair, answer):
@@ -19,6 +22,13 @@ def wrong_at(fn, pair, answer):
 
 N = 3
 BOTTOM, TOP = reps.identity_rep(N), reps.longest_rep(N)
+
+
+def row(name, n=N):
+    """The ``(status, detail)`` that ``run_suite`` reports for check
+    ``name`` at ``n``."""
+    suite = next(c.suite for c in checks.SUITES if c.name == name)
+    return next((st, detail) for c, st, detail in checks.run_suite(n, suite) if c == name)
 
 
 @pytest.mark.parametrize(
@@ -134,14 +144,14 @@ def test_flip_involution_catches_a_flip_out_of_the_enumeration(monkeypatch):
     )
     assert inner.violations() == ["inner triangle [0, 2, 4] with three chord sides"]
     wrong_flip(monkeypatch, CTS[0], 0, inner)
-    assert checks.check_flip_involution(N) == (
-        False, f"flip 0 at {CTS[0]} leaves the enumeration"
+    assert row("flip-involution") == (
+        "FAIL", f"flip 0 at {CTS[0]} leaves the enumeration"
     )
 
 
 def test_flip_involution_catches_a_duplicate_triangulation(monkeypatch):
     monkeypatch.setattr(geometry, "enumerate_ctft", lambda n: CTS + [CTS[3]])
-    assert checks.check_flip_involution(N) == (False, f"{CTS[3]} enumerated twice")
+    assert row("flip-involution") == ("FAIL", f"{CTS[3]} enumerated twice")
 
 
 def test_action_vs_geometry_catches_one_wrong_letter(monkeypatch):
@@ -193,8 +203,7 @@ def test_relations_composes_the_step_tables(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_flip_tables_equal_a_linear_search(n):
     cts = geometry.enumerate_ctft(n)
-    flips, failure = checks._flip_tables(cts, n)
-    assert failure is None
+    flips = checks._flip_tables(cts, n)
     for i, row in enumerate(flips):
         assert list(row) == [cts.index(ct.flip(i)) for ct in cts]
         assert [row[w] for w in row] == list(range(len(cts)))
@@ -281,11 +290,12 @@ def join_fixed_vertices(steps, n):
     "check", [checks.check_diameter, checks.check_rotation_automorphism]
 )
 def test_graph_checks_catch_a_table_without_rotation_symmetry(monkeypatch, check):
-    assert check(N)[0]
+    name = next(c.name for c in checks.SUITES if c.run is check)
+    assert row(name)[0] == "ok"
     broken_tables(monkeypatch, join_fixed_vertices)
-    ok, detail = check(N)
-    assert not ok
-    assert detail.endswith("does not commute with s_1 at vertex 0")
+    assert row(name) == (
+        "FAIL", "rotating e_n does not commute with s_1 at vertex 0"
+    )
 
 
 def test_distance_formula_catches_one_wrong_partner(monkeypatch):
@@ -309,20 +319,138 @@ def test_diameter_bfs_catches_a_table_that_is_not_an_involution(monkeypatch):
             steps[0][e] = ((1 << n) - 1) * m + e
 
     broken_tables(monkeypatch, bottom_to_top)
-    assert checks.check_diameter(N) == (False, "s_0 is not an involution at vertex 0")
+    assert row("diameter-bfs") == ("FAIL", "s_0 is not an involution at vertex 0")
+
+
+def freeze_ends(steps, n):
+    # without s_0 and s_n no generator changes the number of ones
+    for i in (0, n):
+        steps[i][:] = array("i", range(len(steps[i])))
+
+
+DISCONNECTED = "flip graph is disconnected: invariant violated"
 
 
 def test_diameter_bfs_catches_a_disconnected_table(monkeypatch):
-    def freeze_ends(steps, n):
-        # without s_0 and s_n no generator changes the number of ones
-        for i in (0, n):
-            steps[i][:] = array("i", range(len(steps[i])))
-
     broken_tables(monkeypatch, freeze_ends)
-    assert checks.check_diameter(N) == (
-        False,
-        "flip graph is disconnected: invariant violated",
+    assert row("diameter-bfs") == ("FAIL", DISCONNECTED)
+
+
+# -- a broken oracle is a FAIL row or one error line, never a traceback
+
+
+def verify_rows(out):
+    return {line[:24].rstrip(): line[25:].split(None, 1) for line in out.splitlines()}
+
+
+def test_verify_reports_every_row_on_a_disconnected_table(monkeypatch, capsys):
+    broken_tables(monkeypatch, freeze_ends)
+    code = main(["verify", "-n", str(N)])
+    out, err = capsys.readouterr()
+    rows = verify_rows(out)
+    assert (code, len(rows)) == (1, len(checks.SUITES))
+    for name in ("distance-formula", "diameter-bfs", "shortest-reps"):
+        assert rows[name] == ["FAIL", DISCONNECTED]
+    assert err.count("FAILED: ") == 1 and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("method", ["bfs", "both"])
+def test_distance_reports_a_disconnected_table_in_one_line(monkeypatch, capsys, method):
+    broken_tables(monkeypatch, freeze_ends)
+    argv = ["distance", "-n", str(N), "--from", "0,0,0,0", "--to", "1,1,1,6"]
+    assert main(argv + ["--method", method]) == 1
+    assert capsys.readouterr() == ("", f"error: {DISCONNECTED}\n")
+
+
+def test_verify_reports_a_non_square_volume_as_a_fail_row(monkeypatch, capsys):
+    det = coxeter._det
+    monkeypatch.setattr(coxeter, "_det", lambda rows: 3 * det(rows))
+    code = main(["verify", "-n", str(N)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert len(out.splitlines()) == len(checks.SUITES)
+    assert f"{'volumes':24s} {'FAIL':8s} 3 is not a rational square\n" in out
+    assert err == "FAILED: volumes\n"
+
+
+# -- checks that no other test makes fail
+
+
+LOWER_PAIR = ((0, 0, 1, 1), TOP)  # the first pair lower-bound draws at n = 3
+
+
+def test_lower_bound_catches_a_distance_below_the_bound(monkeypatch):
+    assert flipgraph.distance_formula(*LOWER_PAIR, N) == 5  # the bound is tight
+    monkeypatch.setattr(
+        flipgraph, "distance_formula", wrong_at(flipgraph.distance_formula, LOWER_PAIR, 4)
     )
+    assert row("lower-bound") == (
+        "FAIL", f"length lower bound violated at {LOWER_PAIR[0]}, {TOP}"
+    )
+
+
+def test_diameter_scan_catches_a_wrong_closed_form(monkeypatch):
+    diameter = flipgraph.diameter
+    monkeypatch.setattr(flipgraph, "diameter", lambda n: 15 if n == N else diameter(n))
+    assert row("diameter-scan") == ("FAIL", "formula scan 14 != closed form 15")
+
+
+def test_modularity_catches_one_wrong_join(monkeypatch):
+    monkeypatch.setattr(reps, "join", wrong_at(reps.join, (TOP, TOP), BOTTOM))
+    assert row("modularity") == ("FAIL", f"modularity fails at {TOP}, {TOP}")
+
+
+def test_graph_description_catches_a_missing_cover(monkeypatch):
+    covers = reps.covers
+    monkeypatch.setattr(reps, "covers", lambda r, n: [] if r == BOTTOM else covers(r, n))
+    assert row("graph-description") == ("FAIL", "1 extra / 0 missing edges")
+
+
+def test_antipodes_catches_a_wrong_antipode(monkeypatch):
+    antipode = flipgraph.antipode
+
+    def patched(r, n, kind):
+        return BOTTOM if (r, kind) == (BOTTOM, "color_reversal") else antipode(r, n, kind)
+
+    monkeypatch.setattr(flipgraph, "antipode", patched)
+    assert row("antipodes") == (
+        "FAIL", f"color_reversal antipode of {BOTTOM} is not at distance 14"
+    )
+
+
+def test_rep_phi_correspondence_catches_a_wrong_inverse(monkeypatch):
+    phi_to_rep = reps.phi_to_rep
+    atom_phi = reps.rep_to_phi(ATOM, N)
+    monkeypatch.setattr(
+        reps, "phi_to_rep", lambda v: BOTTOM if v == atom_phi else phi_to_rep(v)
+    )
+    assert row("rep-phi-correspondence") == ("FAIL", f"phi_to_rep not inverse at {ATOM}")
+
+
+# -- lower-bound draws vertex ids
+
+
+def test_lower_bound_draws_the_same_pairs_from_ids(monkeypatch):
+    n = 5
+    rs = reps.all_reps(n)
+    rng = random.Random(2)
+    expected = [
+        (rs[u], rs[rng.randrange(len(rs))], n)
+        for u in random.Random(1).sample(range(len(rs)), 15)
+        for _ in range(50)
+    ]
+    calls = counted(monkeypatch, flipgraph, "distance_formula")
+    assert checks.check_lower_bound(n)[0]
+    assert calls == expected
+
+
+def test_lower_bound_builds_no_vertex_list(monkeypatch):
+    builds = counted(monkeypatch, reps, "all_reps")
+    start = time.perf_counter()
+    assert checks.check_lower_bound(20)[0]
+    assert time.perf_counter() - start < 1
+    assert builds == []
 
 
 def test_checks_that_build_the_graph_are_capped_by_it(monkeypatch):

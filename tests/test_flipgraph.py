@@ -231,7 +231,9 @@ class TestStepTables:
         # s_2 fixes ids 0 and 8 (bits 0000 and 0001, e_4 = 0); join
         # them by an s_2 edge that the rotated vertices 1 and 9 lack
         g.steps[2][0], g.steps[2][8] = 8, 0
-        assert rotation_defect(g) == (2, 0)
+        assert rotation_defect(g) == (
+            "rotating e_n does not commute with s_2 at vertex 0"
+        )
 
 
 class TestDistance:
