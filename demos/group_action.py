@@ -15,11 +15,12 @@ from tftflip.coxeter import (
     g0_word,
     gn_word,
     gram_and_volumes,
-    orbit_of_base,
     relation_words,
     stabilizer_generators,
     word_to_affine,
 )
+from tftflip.flipgraph import bfs_distances, build_graph, vertex_id
+from tftflip.representatives import phi_to_rep
 
 n = 3
 
@@ -36,8 +37,11 @@ print(f"g_0 as an affine map: (10, 20, 30) -> {m.apply((10, 20, 30))}"
 print(f"g_0 word length {len(g0_word(n))}, oracle length {coxeter_length(m)}")
 print()
 
-# three computations of the same index
-orbit = len(orbit_of_base(n))
+# three computations of the same index; the orbit is read from the
+# flip graph's step tables, whose breadth-first search from the star
+# raises unless it reaches every vertex
+star = base_vector(n)
+orbit = len(bfs_distances(build_graph(n), vertex_id(phi_to_rep(star), n)))
 _, det_b, ratio = gram_and_volumes(n)
 print(f"orbit of the star:        {orbit}")
 print(f"volume ratio (exact):     {ratio}")
@@ -45,7 +49,6 @@ print(f"counting formula:         {(n + 4) * 2 ** n}")
 print()
 
 # the stabilizer generators really fix the star
-star = base_vector(n)
 for word in stabilizer_generators(n):
     shown = format_word(word)
     shown = shown if len(shown) < 30 else shown[:27] + "..."

@@ -117,6 +117,15 @@ def check_flip_involution(n):
 # -- coxeter --------------------------------------------------------
 
 
+def _walk(steps, word, ids):
+    """The ids that ``word`` sends ``ids`` to through the flip graph's
+    step tables, rightmost letter first."""
+    for letter in reversed(word):
+        row = steps[letter]
+        ids = [row[u] for u in ids]
+    return ids
+
+
 def check_relations(n):
     # each relation as an affine-map identity and as the identity
     # permutation of the vertices, composed from the flip graph's step
@@ -127,10 +136,7 @@ def check_relations(n):
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
             failures.append(f"{name} not the identity map")
-        image = range(len(steps[0]))
-        for letter in reversed(word):
-            row = steps[letter]
-            image = [row[w] for w in image]
+        image = _walk(steps, word, range(len(steps[0])))
         moved = next((u for u, w in enumerate(image) if w != u), None)
         if moved is not None:
             vector = reps.rep_to_phi(flipgraph.vertex_rep(moved, n), n)
@@ -141,15 +147,14 @@ def check_relations(n):
 
 
 def check_stabilizer(n):
-    # the stabilizer generators fix the base vector and the action is
-    # transitive
-    base = coxeter.base_vector(n)
+    # the stabilizer generators fix the star (the identity rep, id 0), and
+    # the step tables reach every vertex from it: the action is transitive
+    g = flipgraph.build_graph(n)
+    orbit = len(flipgraph.bfs_distances(g, 0))  # raises if disconnected
     words = coxeter.stabilizer_generators(n)
-    bad = [coxeter.format_word(w) for w in words if coxeter.act_on_phi(w, base) != base]
-    orbit = len(coxeter.orbit_of_base(n))
-    expected = (n + 4) * 2**n
-    if bad or orbit != expected:
-        return False, f"orbit {orbit} (expected {expected}); generators not fixing base: {bad}"
+    bad = [coxeter.format_word(w) for w in words if _walk(g.steps, w, [0]) != [0]]
+    if bad:
+        return False, f"generators not fixing base: {bad}"
     return True, f"all {len(words)} stabilizer generators fix the base; orbit size {orbit}"
 
 
@@ -205,12 +210,14 @@ def check_rep_lengths(n):
 
 
 def check_rep_phi_correspondence(n):
-    base = coxeter.base_vector(n)
+    # each rep's word walks the identity rep (id 0) to the rep's own id
+    steps = flipgraph.build_graph(n).steps
     seen = set()
-    for r in reps.all_reps(n):
-        by_word = coxeter.act_on_phi(reps.rep_to_word(r), base)
+    for u, r in enumerate(reps.all_reps(n)):
+        [by_word] = _walk(steps, reps.rep_to_word(r), [0])
         closed = reps.rep_to_phi(r, n)
-        if by_word != closed:
+        if by_word != u:
+            by_word = reps.rep_to_phi(flipgraph.vertex_rep(by_word, n), n)
             return False, f"rep {r}: word gives {by_word}, closed form {closed}"
         if reps.phi_to_rep(closed) != r:
             return False, f"phi_to_rep not inverse at {r}"
@@ -436,18 +443,19 @@ def check_bipartition(n):
 
 
 def check_shortest_representatives(n):
+    g = flipgraph.build_graph(n)
     ident = flipgraph.vertex_id(reps.identity_rep(n), n)
-    base = flipgraph.bfs_distances(flipgraph.build_graph(n), ident)
-    star = coxeter.base_vector(n)
+    base = flipgraph.bfs_distances(g, ident)
     for r, word in flipgraph.shortest_representatives(n):
         oracle = coxeter.coxeter_length(coxeter.word_to_affine(n, word))
-        distance = base[flipgraph.vertex_id(r, n)]
+        u = flipgraph.vertex_id(r, n)
+        distance = base[u]
         if not len(word) == oracle == distance:
             return False, (
                 f"shortest word for {r} has {len(word)} letters, length "
                 f"{oracle}, graph distance {distance}"
             )
-        if coxeter.act_on_phi(word, star) != reps.rep_to_phi(r, n):
+        if _walk(g.steps, word, [ident]) != [u]:
             return False, f"shortest word for {r} lies in another coset"
     return True, "shortest-representative lengths equal Schreier distances"
 
@@ -477,9 +485,9 @@ def check_rotation_automorphism(n):
 # -- registry -------------------------------------------------------
 
 SUITES: list[Check] = [
-    Check("counting", "geometry", 8, check_counting),
-    Check("short-chords", "geometry", 8, check_short_chords),
-    Check("phi-roundtrip", "geometry", 8, check_phi_roundtrip),
+    Check("counting", "geometry", 11, check_counting),  # n = 11: 4.9 s / 118 MiB
+    Check("short-chords", "geometry", 11, check_short_chords),  # n = 11: 1.6 s / 111 MiB
+    Check("phi-roundtrip", "geometry", 11, check_phi_roundtrip),  # n = 11: 2.8 s / 111 MiB
     # one validated flip per triangulation and colour: 8.8 s at n = 9,
     # 23 s / 56 MiB at n = 10, 61 s / 110 MiB at n = 11
     Check("flip-involution", "geometry", 10, check_flip_involution),
@@ -487,7 +495,7 @@ SUITES: list[Check] = [
     # at n = 12, 6.7 s / 35 MiB at n = 13, 15 s / 57 MiB at n = 14, the
     # largest n build_graph accepts
     Check("relations", "coxeter", 14, check_relations),
-    Check("stabilizer", "coxeter", 6, check_stabilizer),
+    Check("stabilizer", "coxeter", 11, check_stabilizer),  # n = 11: 0.09 s / 18 MiB
     Check("volumes", "coxeter", 10, check_volumes),
     # 0.54 s at n = 6, 3.7 s at n = 8; held at 5 because a cap of 6
     # adds an ok row to verify -n 6, which perfbench/expected_verify.json
@@ -495,7 +503,8 @@ SUITES: list[Check] = [
     Check("action-vs-geometry", "coxeter", 5, check_action_matches_geometry),
     Check("generator-lengths", "coxeter", 10, check_generator_lengths),
     Check("rep-lengths", "coxeter", 5, check_rep_lengths),
-    Check("rep-phi-correspondence", "coxeter", 6, check_rep_phi_correspondence),
+    # walks one word per rep; n = 11: 2.2 s / 31 MiB
+    Check("rep-phi-correspondence", "coxeter", 11, check_rep_phi_correspondence),
     Check("s0-direction", "coxeter", 6, finding_s0_direction, finding=True),
     Check("self-duality", "coxeter", 4, finding_self_duality, finding=True),
     Check("order-closure", "lattice", 4, check_order_closure),
@@ -518,9 +527,9 @@ SUITES: list[Check] = [
     # that test
     Check("diameter-scan", "graph", 11, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),
-    Check("bipartition", "graph", 6, check_bipartition, min_n=3),
+    Check("bipartition", "graph", 11, check_bipartition, min_n=3),  # n = 11: 0.20 s / 21 MiB
     Check("shortest-reps", "graph", 5, check_shortest_representatives, min_n=3),
-    Check("lower-bound", "graph", 6, check_lower_bound, min_n=3),
+    Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),  # n = 11: 0.01 s
     Check("rotation-automorphism", "graph", 5, check_rotation_automorphism),
 ]
 

@@ -8,11 +8,11 @@ and order-4 braids at both ends.  It is realized faithfully on R^n by
 
 composed here as signed permutations with even integer translations.
 The same words also act on phi vectors, through the representative
-action of :mod:`tftflip.representatives`; that action is the
-phi-conjugate of the geometric flip and is cross-checked against
-:mod:`tftflip.geometry` in the test suite, and by the
-``action-vs-geometry`` check of ``tft verify``, which also compares
-both with the flip graph's step tables.
+action of :mod:`tftflip.representatives`, the phi-conjugate of the
+geometric flip (cross-checked against :mod:`tftflip.geometry` in the
+test suite).  ``tft verify`` compares it with the flips and with the
+flip graph's step tables (``action-vs-geometry``); its other word
+checks walk the tables, and read transitivity from them.
 
 The exact word-length function counts reflection hyperplanes
 separating the base alcove 0 < x_1 < ... < x_n < 1 from its image,
@@ -33,12 +33,12 @@ __all__ = [
     "AffineMap",
     "word_to_affine",
     "act_on_phi",
+    "base_vector",
     "coxeter_length",
     "left_descents",
     "g0_word",
     "gn_word",
     "stabilizer_generators",
-    "orbit_of_base",
     "relation_words",
     "gram_and_volumes",
     "format_word",
@@ -229,23 +229,6 @@ def stabilizer_generators(n: int) -> list[tuple[int, ...]]:
     """Generator words of the stabilizer of the star triangulation."""
     _check_word((), n)
     return [g0_word(n)] + [(i,) for i in range(1, n)] + [gn_word(n)]
-
-
-def orbit_of_base(n: int) -> set[PhiVector]:
-    """Orbit of the star triangulation under all generators (BFS)."""
-    start = base_vector(n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(n + 1):
-                w = act_on_phi((i,), v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 # -- defining relations ---------------------------------------------

@@ -199,21 +199,23 @@ def covers(r: Rep, n: int) -> list[Rep]:
     return sorted(out)
 
 
-def _from_suffix_sums(sums: Sequence[int], n: int) -> Rep:
+def _bound(op, r: Rep, s: Rep, n: int) -> Rep:
+    """The rep whose suffix sums are ``op`` of those of ``r`` and ``s``."""
+    check_rep(r, n)
+    check_rep(s, n)
+    sums = [op(x, y) for x, y in zip(_suffix_sums(r), _suffix_sums(s))]
     e = [sums[k] - sums[k + 1] for k in range(n)] + [sums[n]]
     return check_rep(tuple(e), n)
 
 
 def meet(r: Rep, s: Rep, n: int) -> Rep:
     """Greatest lower bound: componentwise min of suffix sums."""
-    sums = [min(x, y) for x, y in zip(_suffix_sums(r), _suffix_sums(s))]
-    return _from_suffix_sums(sums, n)
+    return _bound(min, r, s, n)
 
 
 def join(r: Rep, s: Rep, n: int) -> Rep:
     """Least upper bound: componentwise max of suffix sums."""
-    sums = [max(x, y) for x, y in zip(_suffix_sums(r), _suffix_sums(s))]
-    return _from_suffix_sums(sums, n)
+    return _bound(max, r, s, n)
 
 
 def dual(r: Rep, n: int) -> Rep:

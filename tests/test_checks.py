@@ -191,12 +191,16 @@ def test_flip_involution_flips_each_triangulation_once_per_color(monkeypatch):
     assert len(calls) == (n + 4) * 2**n * (n + 1) == 1728
 
 
-def test_relations_composes_the_step_tables(monkeypatch):
-    # the vector half reads the flip graph's tables, built once, and
+@pytest.mark.parametrize(
+    "name", ["relations", "stabilizer", "rep-phi-correspondence", "shortest-reps"]
+)
+def test_word_checks_walk_the_step_tables(monkeypatch, name):
+    # each word check reads the flip graph's tables, built once, and
     # applies no vector action of its own
+    check = next(c for c in checks.SUITES if c.name == name)
     acts = counted(monkeypatch, coxeter, "act_on_phi")
     builds = counted(monkeypatch, flipgraph, "build_graph")
-    assert checks.check_relations(5)[0]
+    assert check.run(5)[0]
     assert (len(acts), builds) == (0, [(5,)])
 
 
@@ -207,13 +211,6 @@ def test_flip_tables_equal_a_linear_search(n):
     for i, row in enumerate(flips):
         assert list(row) == [cts.index(ct.flip(i)) for ct in cts]
         assert [row[w] for w in row] == list(range(len(cts)))
-
-
-def test_stabilizer_catches_a_short_orbit(monkeypatch):
-    monkeypatch.setattr(coxeter, "orbit_of_base", lambda n: {coxeter.base_vector(n)})
-    assert checks.check_stabilizer(N) == (
-        False, "orbit 1 (expected 56); generators not fixing base: []"
-    )
 
 
 def test_bipartition_catches_a_wrong_sign(monkeypatch):
@@ -334,6 +331,25 @@ DISCONNECTED = "flip graph is disconnected: invariant violated"
 def test_diameter_bfs_catches_a_disconnected_table(monkeypatch):
     broken_tables(monkeypatch, freeze_ends)
     assert row("diameter-bfs") == ("FAIL", DISCONNECTED)
+
+
+def test_stabilizer_catches_a_short_orbit(monkeypatch):
+    broken_tables(monkeypatch, freeze_ends)
+    assert row("stabilizer") == ("FAIL", DISCONNECTED)
+
+
+def test_stabilizer_catches_a_generator_moving_the_star(monkeypatch):
+    broken_tables(monkeypatch, join_fixed_vertices)  # s_1 moves id 0
+    assert row("stabilizer") == ("FAIL", "generators not fixing base: ['1']")
+
+
+def test_rep_phi_correspondence_catches_a_word_left_at_the_base(monkeypatch):
+    # the word of (0, 0, 0, 1) is s_3 s_2 s_1 s_0, and with both ends
+    # frozen it leaves the identity rep where it is
+    broken_tables(monkeypatch, freeze_ends)
+    assert row("rep-phi-correspondence") == (
+        "FAIL", "rep (0, 0, 0, 1): word gives 0:000, closed form 6:000"
+    )
 
 
 # -- a broken oracle is a FAIL row or one error line, never a traceback

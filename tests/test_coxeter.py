@@ -15,7 +15,6 @@ from tftflip.coxeter import (
     gn_word,
     gram_and_volumes,
     left_descents,
-    orbit_of_base,
     relation_words,
     word_to_affine,
 )
@@ -185,9 +184,6 @@ class TestStabilizer:
         moved = [v for v in all_phi_vectors(3) if act_on_phi(w, v) != v]
         assert moved  # stabilizer of the base, not the kernel
         assert not word_to_affine(3, w).is_identity()
-
-    def test_orbit_size(self):
-        assert len(orbit_of_base(4)) == 8 * 16
 
 
 class TestVolumes:

@@ -175,6 +175,15 @@ class TestLattice:
         assert meet((1, 0, 0, 1), (0, 1, 1, 0), 3) == (1, 0, 1, 0)
         assert join((1, 0, 0, 1), (0, 1, 1, 0), 3) == (0, 1, 0, 1)
 
+    @pytest.mark.parametrize("op", [meet, join])
+    @pytest.mark.parametrize("bad", [(0, 0, 0, 9), (2, 0, 0, 0), (0, 0, 0)])
+    def test_invalid_input_rejected(self, op, bad):
+        # checked on the way in, not only through the result
+        with pytest.raises(ValueError):
+            op(bad, (0, 0, 0, 0), 3)
+        with pytest.raises(ValueError):
+            op((0, 0, 0, 0), bad, 3)
+
     def test_meet_join_are_bounds(self):
         rs = all_reps(3)
         for r, s in combinations(rs, 2):

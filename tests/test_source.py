@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tftflip
@@ -19,3 +20,14 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_name_in_all_resolves():
+    # a deleted function must not leave a stale __all__ entry behind
+    modules = [
+        importlib.import_module(f"tftflip.{path.stem}".removesuffix(".__init__"))
+        for path in SOURCES
+    ]
+    names = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert len(names) > len(modules)
+    assert [f"{m.__name__}.{name}" for m, name in names if not hasattr(m, name)] == []
