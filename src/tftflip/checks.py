@@ -488,9 +488,11 @@ SUITES: list[Check] = [
     Check("counting", "geometry", 11, check_counting),  # n = 11: 4.9 s / 118 MiB
     Check("short-chords", "geometry", 11, check_short_chords),  # n = 11: 1.6 s / 111 MiB
     Check("phi-roundtrip", "geometry", 11, check_phi_roundtrip),  # n = 11: 2.8 s / 111 MiB
-    # one validated flip per triangulation and colour: 8.8 s at n = 9,
-    # 23 s / 56 MiB at n = 10, 61 s / 110 MiB at n = 11
-    Check("flip-involution", "geometry", 10, check_flip_involution),
+    # one locally judged flip per validated triangulation and colour:
+    # 1.2-1.6 s at n = 9, 2.9-3.7 s / 58 MiB at n = 10, 7-11 s / 111 MiB
+    # at n = 11 (2 vCPU, Python 3.11);
+    # n = 12 is held back by enumerate_ctft alone (247 MiB), as in counting
+    Check("flip-involution", "geometry", 11, check_flip_involution),
     # words composed from the flip graph's step tables: 2.6 s / 26 MiB
     # at n = 12, 6.7 s / 35 MiB at n = 13, 15 s / 57 MiB at n = 14, the
     # largest n build_graph accepts

@@ -101,10 +101,13 @@ class AffineMap:
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self . other)(x) = self(other(x))."""
-        fields = _product(
-            (self.cols, self.signs, self.shift), (other.cols, other.signs, other.shift)
+        rows = list(zip(self.cols, self.signs, self.shift))
+        return AffineMap(
+            self.n,
+            tuple(other.cols[c] for c, _, _ in rows),
+            tuple(s * other.signs[c] for c, s, _ in rows),
+            tuple(s * other.shift[c] + t for c, s, t in rows),
         )
-        return AffineMap(self.n, *fields)
 
     def apply(self, x: Sequence) -> tuple:
         return tuple(
@@ -115,30 +118,29 @@ class AffineMap:
         return self == AffineMap.identity(self.n)
 
 
-def _product(outer: tuple, inner: tuple) -> tuple:
-    """The fields (cols, signs, shift) of ``outer`` after ``inner``,
-    both given by their fields; the result is not validated."""
-    (cols, signs, shift), (inner_cols, inner_signs, inner_shift) = outer, inner
-    return (
-        tuple(inner_cols[c] for c in cols),
-        tuple(s * inner_signs[c] for s, c in zip(signs, cols)),
-        tuple(s * inner_shift[c] + t for s, c, t in zip(signs, cols, shift)),
-    )
-
-
 def word_to_affine(n: int, word: Sequence[int]) -> AffineMap:
     """Product of generator maps, leftmost letter outermost.
 
-    The partial products skip validation; the finished map is
-    validated once.
+    Right-multiplying the partial product by s_i rewrites only the rows
+    that read a coordinate s_i moves (one for s_0 and s_n, two for a
+    swap), found through ``row[c]``, the row reading coordinate c.  The
+    finished map is validated once.
     """
     _check_word(word, n)
-    generators = [AffineMap.generator(n, i) for i in range(n + 1)]
-    letters = [(g.cols, g.signs, g.shift) for g in generators]
-    m = (tuple(range(n)), (1,) * n, (0,) * n)  # the identity
+    # per letter, (c, cols[c], signs[c], shift[c]) for each coordinate c it moves
+    supports = [
+        [f for f in zip(range(n), g.cols, g.signs, g.shift) if f[1:] != (f[0], 1, 0)]
+        for g in (AffineMap.generator(n, i) for i in range(n + 1))
+    ]
+    cols, signs, shift, row = list(range(n)), [1] * n, [0] * n, list(range(n))
     for letter in word:
-        m = _product(m, letters[letter])
-    return AffineMap(n, *m)
+        moved = [(row[c], col, sign, t) for c, col, sign, t in supports[letter]]
+        for r, col, sign, t in moved:  # every row is read before any is rewritten
+            cols[r] = col
+            shift[r] += signs[r] * t
+            signs[r] *= sign
+            row[col] = r
+    return AffineMap(n, tuple(cols), tuple(signs), tuple(shift))
 
 
 # -- action on phi vectors ------------------------------------------

@@ -236,11 +236,22 @@ class ColoredTriangulation:
         Returns the flipped triangulation when it is again a valid
         colored triangle-free triangulation, and ``self`` unchanged
         otherwise.  Always an involution.
+
+        The input is fully validated and the flip judged locally: chord
+        i = {x, y} becomes {p, q}, the other diagonal of its
+        quadrilateral, exactly when neither new face {p, q, z}, z in
+        {x, y}, has three chord sides.  The rest carries over from the
+        valid input: {p, q} crosses no chord, the other faces stay,
+        chords i +- 1 are sides of the quadrilateral (they shared a face
+        with chord i), and the faces of chord 0 = {a - 1, a + 1} force
+        {p, q} = {a, a +- 2}, again short.  ``tft verify`` checks every
+        verdict against fully validated triangulations.
         """
         if not 0 <= i <= self.n:
             raise ValueError(f"color {i} out of range 0..{self.n}")
         if not self.is_valid():
             raise ValueError("flip requires a valid triangulation")
+        m = self.m
         x, y = self.chords[i]
         nbrs = self._neighbours()
         # the apexes of the chord's two triangles (as in triangles(),
@@ -248,10 +259,12 @@ class ColoredTriangulation:
         apexes = frozenset(nbrs[x] & nbrs[y])
         if len(apexes) != 2:
             raise RuntimeError(f"chord {i} of {self} lies in {len(apexes)} triangles, not 2")
-        flipped = ColoredTriangulation(
+        # some new face {p, q, z} would have three chord sides
+        if any(all((z - a) % m not in (1, m - 1) for a in apexes) for z in (x, y)):
+            return self
+        return ColoredTriangulation(
             self.n, self.chords[:i] + (apexes,) + self.chords[i + 1 :]
         )
-        return flipped if flipped.is_valid() else self
 
     def rotate(self, k: int) -> "ColoredTriangulation":
         """Rotate all vertex labels by k (mod n+4); colors are preserved."""

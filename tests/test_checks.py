@@ -191,6 +191,14 @@ def test_flip_involution_flips_each_triangulation_once_per_color(monkeypatch):
     assert len(calls) == (n + 4) * 2**n * (n + 1) == 1728
 
 
+def test_flip_involution_validates_only_the_enumerated_triangulations(monkeypatch):
+    # triangles() is called only by the full validator: once per
+    # enumerated triangulation, and never on a flipped candidate
+    scans = counted(monkeypatch, geometry.ColoredTriangulation, "triangles")
+    assert checks.check_flip_involution(5)[0]
+    assert len(scans) == 9 * 2**5 == 288
+
+
 @pytest.mark.parametrize(
     "name", ["relations", "stabilizer", "rep-phi-correspondence", "shortest-reps"]
 )

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,18 @@ class TestAffineMap:
         lhs = word_to_affine(n, (0, 1, 0, 1))
         rhs = word_to_affine(n, (1, 0, 1, 0))
         assert lhs == rhs  # (s_0 s_1)^4 = 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_word_to_affine_equals_the_composed_generators(n):
+    rng = random.Random(n)
+    words = [()] + [word for _, word in relation_words(n)]
+    words += [tuple(rng.randrange(n + 1) for _ in range(rng.randrange(1, 40))) for _ in range(50)]
+    for word in words:
+        expected = AffineMap.identity(n)
+        for letter in word:
+            expected = expected.compose(AffineMap.generator(n, letter))
+        assert word_to_affine(n, word) == expected, word
 
 
 class TestRelations:

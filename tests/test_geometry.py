@@ -184,6 +184,22 @@ class TestFlip:
         with pytest.raises(ValueError):
             bad.flip(0)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_local_rule_equals_full_validation(self, n):
+        # reference: swap chord i for the other diagonal of its
+        # quadrilateral and keep the candidate iff is_valid() accepts it
+        outcomes = set()
+        for ct in enumerate_ctft(n):
+            nbrs = ct._neighbours()
+            for i, (x, y) in enumerate(ct.chords):
+                other = frozenset(nbrs[x] & nbrs[y])
+                chords = ct.chords[:i] + (other,) + ct.chords[i + 1 :]
+                candidate = ColoredTriangulation(n, chords)
+                expected = candidate if candidate.is_valid() else ct
+                assert ct.flip(i) == expected
+                outcomes.add(expected is ct)
+        assert outcomes == ({True, False} if n > 1 else {False})
+
     def test_invalid_stays_invalid(self):
         # validity is cached per instance; the verdict must not change
         swapped = (T0.chords[1], T0.chords[0]) + T0.chords[2:]
