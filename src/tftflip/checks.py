@@ -14,8 +14,10 @@ from __future__ import annotations
 import random
 from array import array
 from collections import defaultdict
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from . import coxeter, flipgraph, geometry
@@ -34,11 +36,26 @@ class Check:
     min_n: int = 2  # smallest n the checked claim is stated for
 
 
+_suite_inputs: ContextVar[dict] = ContextVar("suite_inputs")  # set by run_suite
+
+
+def _shared(build, n):
+    """``build(n)``, made once per suite while ``run_suite`` runs it."""
+    inputs = _suite_inputs.get({})  # fresh when unset: a check run on its own builds its own
+    if build not in inputs:
+        inputs[build] = build(n)
+    return inputs[build]
+
+
+def _triangulations(n):
+    return tuple(geometry.enumerate_ctft(n))
+
+
 # -- geometry -------------------------------------------------------
 
 
 def check_counting(n):
-    cts = geometry.enumerate_ctft(n)
+    cts = _shared(_triangulations, n)
     expected = (n + 4) * 2**n
     if len(cts) != expected:
         return False, f"enumerated {len(cts)}, expected {expected}"
@@ -57,7 +74,7 @@ def check_counting(n):
 
 
 def check_short_chords(n):
-    for ct in geometry.enumerate_ctft(n):
+    for ct in _shared(_triangulations, n):
         shorts = ct.short_chords()
         if len(shorts) != 2:
             return False, f"{ct} has {len(shorts)} short chords"
@@ -67,7 +84,7 @@ def check_short_chords(n):
 
 
 def check_phi_roundtrip(n):
-    for ct in geometry.enumerate_ctft(n):
+    for ct in _shared(_triangulations, n):
         if geometry.phi_inv(ct.phi()) != ct:
             return False, f"phi roundtrip fails on {ct}"
     return True, "phi_inv . phi is the identity on all triangulations"
@@ -98,7 +115,7 @@ def _flip_tables(cts, n):
 
 
 def check_flip_involution(n):
-    cts = geometry.enumerate_ctft(n)
+    cts = _shared(_triangulations, n)
     flips = _flip_tables(cts, n)
     for u, ct in enumerate(cts):
         bits = ct.phi().bits
@@ -131,7 +148,7 @@ def check_relations(n):
     # permutation of the vertices, composed from the flip graph's step
     # tables
     rels = coxeter.relation_words(n)
-    steps = flipgraph.build_graph(n).steps
+    steps = _shared(flipgraph.build_graph, n).steps
     failures = []
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
@@ -149,7 +166,7 @@ def check_relations(n):
 def check_stabilizer(n):
     # the stabilizer generators fix the star (the identity rep, id 0), and
     # the step tables reach every vertex from it: the action is transitive
-    g = flipgraph.build_graph(n)
+    g = _shared(flipgraph.build_graph, n)
     orbit = len(flipgraph.bfs_distances(g, 0))  # raises if disconnected
     words = coxeter.stabilizer_generators(n)
     bad = [coxeter.format_word(w) for w in words if _walk(g.steps, w, [0]) != [0]]
@@ -177,7 +194,7 @@ def check_action_matches_geometry(n):
     # flip and step table entries are both ids of ``vectors``
     vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
     flips = _flip_tables([geometry.phi_inv(v) for v in vectors], n)
-    steps = flipgraph.build_graph(n).steps
+    steps = _shared(flipgraph.build_graph, n).steps
     for u, v in enumerate(vectors):
         for i in range(n + 1):
             via_flip = vectors[flips[i][u]]
@@ -211,7 +228,7 @@ def check_rep_lengths(n):
 
 def check_rep_phi_correspondence(n):
     # each rep's word walks the identity rep (id 0) to the rep's own id
-    steps = flipgraph.build_graph(n).steps
+    steps = _shared(flipgraph.build_graph, n).steps
     seen = set()
     for u, r in enumerate(reps.all_reps(n)):
         [by_word] = _walk(steps, reps.rep_to_word(r), [0])
@@ -252,10 +269,11 @@ def finding_self_duality(n):
 # -- lattice --------------------------------------------------------
 
 
-def _order_bitsets(rs):
-    """Brute-force ``leq`` over all pairs, as int bitsets over indices
-    of ``rs``: bit j of down[i] is leq(rs[j], rs[i]), bit j of up[i]
-    is leq(rs[i], rs[j])."""
+def _order_bitsets(n):
+    """Brute-force ``leq`` over all pairs of ``rs = all_reps(n)``, as
+    int bitsets over indices: bit j of down[i] is leq(rs[j], rs[i]),
+    bit j of up[i] is leq(rs[i], rs[j])."""
+    rs = reps.all_reps(n)
     down = [0] * len(rs)
     up = [0] * len(rs)
     for i, r in enumerate(rs):
@@ -264,6 +282,16 @@ def _order_bitsets(rs):
                 up[i] |= 1 << j
                 down[j] |= 1 << i
     return down, up
+
+
+def _bounds(n):
+    """The meets and the joins of all pairs of reps, in ``product`` order;
+    a result equal to a rep is kept as that rep's tuple, not a copy."""
+    own = {r: r for r in reps.all_reps(n)}
+    return tuple(
+        [own.get(b, b) for b in (op(r, s, n) for r, s in product(own, own))]
+        for op in (reps.meet, reps.join)
+    )
 
 
 def _closure_leq(n):
@@ -282,7 +310,7 @@ def _closure_leq(n):
 
 def check_order_closure(n):
     rs, reach = _closure_leq(n)
-    _, up = _order_bitsets(rs)
+    _, up = _shared(_order_bitsets, n)
     for i, r in enumerate(rs):
         differ = up[i] ^ reach[i]
         if differ:
@@ -294,31 +322,28 @@ def check_order_closure(n):
 def check_meet_join(n):
     rs = reps.all_reps(n)
     index = {r: i for i, r in enumerate(rs)}
-    down, up = _order_bitsets(rs)
-    for a, r in enumerate(rs):
-        for b, s in enumerate(rs):
-            # lowers: every t with t <= r and t <= s; the meet must be
-            # one of them and lie above all of them (uppers mirror it)
-            lowers = down[a] & down[b]
-            m = index.get(reps.meet(r, s, n))
-            if m is None or not (lowers >> m & 1 and lowers & ~down[m] == 0):
-                return False, f"meet formula is not the glb at {r}, {s}"
-            uppers = up[a] & up[b]
-            j = index.get(reps.join(r, s, n))
-            if j is None or not (uppers >> j & 1 and uppers & ~up[j] == 0):
-                return False, f"join formula is not the lub at {r}, {s}"
+    down, up = _shared(_order_bitsets, n)
+    pairs = product(enumerate(rs), repeat=2)
+    for ((a, r), (b, s)), meet, join in zip(pairs, *_shared(_bounds, n)):
+        # lowers: every t with t <= r and t <= s; the meet must be one
+        # of them and lie above all of them (uppers mirror it)
+        lowers = down[a] & down[b]
+        m = index.get(meet)
+        if m is None or not (lowers >> m & 1 and lowers & ~down[m] == 0):
+            return False, f"meet formula is not the glb at {r}, {s}"
+        uppers = up[a] & up[b]
+        j = index.get(join)
+        if j is None or not (uppers >> j & 1 and uppers & ~up[j] == 0):
+            return False, f"join formula is not the lub at {r}, {s}"
     return True, "meet/join formulas equal brute-force glb/lub on all pairs"
 
 
 def check_modularity(n):
     rs = reps.all_reps(n)
-    for r in rs:
-        for s in rs:
-            lhs = reps.rep_length(reps.join(r, s, n)) + reps.rep_length(
-                reps.meet(r, s, n)
-            )
-            if lhs != reps.rep_length(r) + reps.rep_length(s):
-                return False, f"modularity fails at {r}, {s}"
+    for (r, s), meet, join in zip(product(rs, rs), *_shared(_bounds, n)):
+        lhs = reps.rep_length(join) + reps.rep_length(meet)
+        if lhs != reps.rep_length(r) + reps.rep_length(s):
+            return False, f"modularity fails at {r}, {s}"
     return True, "rank modularity l(join) + l(meet) = l(r) + l(s) on all pairs"
 
 
@@ -332,7 +357,7 @@ def check_duality(n):
         if reps.rep_length(d) != top_len - reps.rep_length(r):
             return False, f"dual length complement fails at {r}"
     dual = [flipgraph.vertex_id(reps.dual(r, n), n) for r in rs]
-    _, up = _order_bitsets(rs)
+    _, up = _shared(_order_bitsets, n)
     for i, r in enumerate(rs):
         for j, s in enumerate(rs):
             # leq(r, s) against leq(dual(s), dual(r))
@@ -365,7 +390,7 @@ def check_rank_polynomial(n):
 
 def check_graph_description(n):
     rs = reps.all_reps(n)
-    edges = flipgraph.colored_edges(flipgraph.build_graph(n))
+    edges = flipgraph.colored_edges(_shared(flipgraph.build_graph, n))
     simple = {frozenset((rs[u], rs[v])) for u, v, _ in edges}
     described = {frozenset((r, s)) for r in rs for s in reps.covers(r, n)}
     described |= {frozenset(e) for e in flipgraph.wrap_edges(n)}
@@ -379,7 +404,7 @@ def check_graph_description(n):
 
 
 def check_distance_formula(n):
-    g = flipgraph.build_graph(n)
+    g = _shared(flipgraph.build_graph, n)
     rs = reps.all_reps(n)
     if n <= 4:
         sources, label = range(len(rs)), "all"
@@ -433,7 +458,7 @@ def check_antipodes(n):
 def check_bipartition(n):
     # every edge joins opposite signs, and the two classes are equal
     signs = [flipgraph.sign(r) for r in reps.all_reps(n)]
-    edges = flipgraph.colored_edges(flipgraph.build_graph(n))
+    edges = flipgraph.colored_edges(_shared(flipgraph.build_graph, n))
     bad = sum(signs[u] == signs[v] for u, v, _ in edges)
     plus = signs.count(1)
     classes = (plus, len(signs) - plus)
@@ -443,7 +468,7 @@ def check_bipartition(n):
 
 
 def check_shortest_representatives(n):
-    g = flipgraph.build_graph(n)
+    g = _shared(flipgraph.build_graph, n)
     ident = flipgraph.vertex_id(reps.identity_rep(n), n)
     base = flipgraph.bfs_distances(g, ident)
     for r, word in flipgraph.shortest_representatives(n):
@@ -476,7 +501,7 @@ def check_lower_bound(n):
 
 
 def check_rotation_automorphism(n):
-    defect = flipgraph.rotation_defect(flipgraph.build_graph(n))
+    defect = flipgraph.rotation_defect(_shared(flipgraph.build_graph, n))
     if defect is not None:
         return False, defect
     return True, "right multiplication by a_n is a graph automorphism"
@@ -550,20 +575,30 @@ def run_suite(n: int, suite: str = "all"):
     ``Check.run(n)`` runs one check above its cap, except that a check
     which builds the flip graph raises ``ValueError`` above
     ``flipgraph.MAX_GRAPH_N``.
+
+    The checks of one suite share per-n inputs within one call (the
+    triangulations, step tables, ``leq`` bitsets, meets and joins), built
+    on first use and dropped at the next suite; ``Check.run`` shares none.
     """
+    inputs, inputs_suite = {}, None
     for check in SUITES:
         if suite != "all" and check.suite != suite:
             continue
+        if check.suite != inputs_suite:
+            inputs, inputs_suite = {}, check.suite
         if n > check.max_n:
             yield check.name, "skip", f"n={n} above cap {check.max_n}"
             continue
         if n < check.min_n:
             yield check.name, "skip", f"requires n >= {check.min_n}"
             continue
+        token = _suite_inputs.set(inputs)
         try:
             ok, detail = check.run(n)
         except RuntimeError as exc:
             ok, detail = False, str(exc)
+        finally:
+            _suite_inputs.reset(token)
         if check.finding:
             yield check.name, "finding" if ok else "finding-FAIL", detail
         else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import representatives as reps
@@ -118,6 +119,15 @@ class AffineMap:
         return self == AffineMap.identity(self.n)
 
 
+@lru_cache(maxsize=16)
+def _supports(n: int) -> tuple[tuple, ...]:
+    """Per generator, (c, cols[c], signs[c], shift[c]) for each coordinate c it moves."""
+    return tuple(
+        tuple(f for f in zip(range(n), g.cols, g.signs, g.shift) if f[1:] != (f[0], 1, 0))
+        for g in (AffineMap.generator(n, i) for i in range(n + 1))
+    )
+
+
 def word_to_affine(n: int, word: Sequence[int]) -> AffineMap:
     """Product of generator maps, leftmost letter outermost.
 
@@ -127,11 +137,7 @@ def word_to_affine(n: int, word: Sequence[int]) -> AffineMap:
     finished map is validated once.
     """
     _check_word(word, n)
-    # per letter, (c, cols[c], signs[c], shift[c]) for each coordinate c it moves
-    supports = [
-        [f for f in zip(range(n), g.cols, g.signs, g.shift) if f[1:] != (f[0], 1, 0)]
-        for g in (AffineMap.generator(n, i) for i in range(n + 1))
-    ]
+    supports = _supports(n)
     cols, signs, shift, row = list(range(n)), [1] * n, [0] * n, list(range(n))
     for letter in word:
         moved = [(row[c], col, sign, t) for c, col, sign, t in supports[letter]]

@@ -43,13 +43,6 @@ def _check_chord(chord: Chord, m: int) -> None:
         raise ValueError(f"chord endpoints are adjacent on the boundary: {set(chord)}")
 
 
-def chord(x: int, y: int, m: int) -> Chord:
-    """Chord between vertices x and y of an m-gon (labels taken mod m)."""
-    c = frozenset((x % m, y % m))
-    _check_chord(c, m)
-    return c
-
-
 def is_short(c: Chord, m: int) -> bool:
     x, y = c
     return (y - x) % m in (2, m - 2)
@@ -213,8 +206,8 @@ class ColoredTriangulation:
         bits = []
         k = mm = 1  # chord i-1 is [a-k, a+mm]
         for i in range(1, self.n + 1):
-            grown_left = chord(a - k - 1, a + mm, m)
-            grown_right = chord(a - k, a + mm + 1, m)
+            grown_left = frozenset(((a - k - 1) % m, (a + mm) % m))
+            grown_right = frozenset(((a - k) % m, (a + mm + 1) % m))
             if self.chords[i] == grown_left:
                 bits.append(0)
                 k += 1
@@ -253,18 +246,25 @@ class ColoredTriangulation:
             raise ValueError("flip requires a valid triangulation")
         m = self.m
         x, y = self.chords[i]
-        nbrs = self._neighbours()
         # the apexes of the chord's two triangles (as in triangles(),
         # every 3-cycle of edges bounds a face) span the other diagonal
-        apexes = frozenset(nbrs[x] & nbrs[y])
+        nx, ny = {(x - 1) % m, (x + 1) % m}, {(y - 1) % m, (y + 1) % m}
+        for c in self.chords:
+            if x in c:
+                nx |= c
+            if y in c:
+                ny |= c
+        apexes = frozenset(nx & ny - {x, y})
         if len(apexes) != 2:
             raise RuntimeError(f"chord {i} of {self} lies in {len(apexes)} triangles, not 2")
         # some new face {p, q, z} would have three chord sides
         if any(all((z - a) % m not in (1, m - 1) for a in apexes) for z in (x, y)):
             return self
-        return ColoredTriangulation(
-            self.n, self.chords[:i] + (apexes,) + self.chords[i + 1 :]
-        )
+        _check_chord(apexes, m)  # the other n chords were checked in self
+        chords = self.chords[:i] + (apexes,) + self.chords[i + 1 :]
+        flipped = object.__new__(ColoredTriangulation)  # so __post_init__ checks none again
+        flipped.__dict__.update(n=self.n, chords=chords)
+        return flipped
 
     def rotate(self, k: int) -> "ColoredTriangulation":
         """Rotate all vertex labels by k (mod n+4); colors are preserved."""
@@ -291,15 +291,12 @@ class ColoredTriangulation:
 def phi_inv(v: PhiVector) -> ColoredTriangulation:
     """Rebuild the triangulation encoded by a phi vector."""
     m = v.n + 4
-    chords = [chord(v.a - 1, v.a + 1, m)]
+    chords = [frozenset(((v.a - 1) % m, (v.a + 1) % m))]
     k = mm = 1
-    for b in v.bits:
-        if b == 0:
-            k += 1
-        else:
-            mm += 1
-        chords.append(chord(v.a - k, v.a + mm, m))
-    return ColoredTriangulation(v.n, tuple(chords))
+    for b in v.bits:  # 0 grows the fan counterclockwise, 1 clockwise
+        k, mm = k + 1 - b, mm + b
+        chords.append(frozenset(((v.a - k) % m, (v.a + mm) % m)))
+    return ColoredTriangulation(v.n, tuple(chords))  # checks every chord
 
 
 def all_phi_vectors(n: int) -> list[PhiVector]:

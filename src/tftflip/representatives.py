@@ -17,7 +17,7 @@ modular lattice: a self-dual lower interval of the left weak order.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple, Sequence
 
 from .geometry import PhiVector
@@ -58,7 +58,8 @@ def check_rep(r: Sequence[int], n: int) -> Rep:
     r = tuple(r)
     if len(r) != n + 1:
         raise ValueError(f"need {n + 1} exponents, got {len(r)}")
-    if any(e not in (0, 1) for e in r[:n]):
+    bits = r[:n]
+    if bits.count(0) + bits.count(1) != n:
         raise ValueError(f"exponents 0..{n - 1} must be bits: {r}")
     if not 0 <= r[n] <= n + 3:
         raise ValueError(f"last exponent must be in 0..{n + 3}: {r}")
@@ -169,12 +170,7 @@ def _apply_generator(i: int, r: Rep, n: int) -> Rep:
 
 
 def _suffix_sums(r: Rep) -> tuple[int, ...]:
-    out = []
-    total = 0
-    for e in reversed(r):
-        total += e
-        out.append(total)
-    return tuple(reversed(out))  # index k -> sum of e_k..e_n
+    return tuple(accumulate(reversed(r)))[::-1]  # index k -> sum of e_k..e_n
 
 
 def leq(r: Rep, s: Rep) -> bool:

@@ -140,7 +140,7 @@ def test_flip_involution_catches_a_flip_out_of_the_enumeration(monkeypatch):
     m = N + 4
     # a triangulation of the heptagon with the inner triangle 0, 2, 4
     inner = geometry.ColoredTriangulation(
-        N, tuple(geometry.chord(x, y, m) for x, y in ((0, 2), (2, 4), (0, 4), (4, 6)))
+        N, tuple(frozenset((x, y)) for x, y in ((0, 2), (2, 4), (0, 4), (4, 6)))
     )
     assert inner.violations() == ["inner triangle [0, 2, 4] with three chord sides"]
     wrong_flip(monkeypatch, CTS[0], 0, inner)
@@ -358,6 +358,58 @@ def test_rep_phi_correspondence_catches_a_word_left_at_the_base(monkeypatch):
     assert row("rep-phi-correspondence") == (
         "FAIL", "rep (0, 0, 0, 1): word gives 0:000, closed form 6:000"
     )
+
+
+# -- run_suite shares per-n inputs within one suite of one call
+
+
+@pytest.mark.parametrize(
+    "n, owner, name, fault, expected",
+    [
+        (5, geometry, "enumerate_ctft", lambda fn: lambda n: fn(n)[1:],
+         ("counting", "FAIL", "enumerated 287, expected 288")),
+        (N, reps, "meet", lambda fn: wrong_at(fn, (TOP, TOP), BOTTOM),
+         ("meet-join", "FAIL", f"meet formula is not the glb at {TOP}, {TOP}")),
+    ],
+    ids=["enumerate_ctft", "meet"],
+)
+def test_no_input_outlives_a_run(monkeypatch, n, owner, name, fault, expected):
+    assert all(st != "FAIL" for _, st, _ in checks.run_suite(n))
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    assert expected in list(checks.run_suite(n))
+
+
+def test_one_run_enumerates_once(monkeypatch):
+    calls = counted(monkeypatch, geometry, "enumerate_ctft")
+    assert all(st != "FAIL" for _, st, _ in checks.run_suite(5))
+    assert calls == [(5,)]
+
+
+def test_one_lattice_run_orders_and_bounds_each_pair_once(monkeypatch):
+    calls = [counted(monkeypatch, reps, name) for name in ("leq", "meet", "join")]
+    assert {st for _, st, _ in checks.run_suite(N, "lattice")} == {"ok"}
+    assert [len(c) for c in calls] == [56**2] * 3
+
+
+def test_one_run_builds_the_step_tables_at_most_three_times(monkeypatch):
+    # once for the coxeter suite, once for the graph suite and once in
+    # bfs_diameter
+    builds = counted(monkeypatch, flipgraph, "build_graph")
+    for n in (3, 5, 6):
+        builds.clear()
+        assert all(st != "FAIL" for _, st, _ in checks.run_suite(n))
+        assert 1 <= len(builds) <= 3 and set(builds) == {(n,)}
+
+
+def test_a_check_called_directly_builds_its_own_inputs(monkeypatch):
+    calls = counted(monkeypatch, geometry, "enumerate_ctft")
+    assert checks.check_counting(5)[0] and checks.check_counting(5)[0]
+    assert calls == [(5,), (5,)]
+    # also between two rows of a run
+    rows = checks.run_suite(5, "geometry")
+    assert next(rows)[:2] == ("counting", "ok")
+    assert checks.check_counting(5)[0]
+    assert calls == [(5,)] * 4
 
 
 # -- a broken oracle is a FAIL row or one error line, never a traceback

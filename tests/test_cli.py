@@ -203,14 +203,21 @@ class TestGraph:
         assert path.read_text().startswith("graph flipgraph_n2 {")
 
     def test_n12_json_export_streams_in_small_memory(self, tmp_path):
-        # a fresh process reports its own peak RSS (KiB on Linux); built
-        # whole as one document and string, this export peaked at 347 MiB
+        # a fresh process reports its own peak RSS in KiB; built whole as
+        # one document and string, this export peaked at 347 MiB.  Linux
+        # keeps ru_maxrss across execve, where it would report the pytest
+        # parent's peak, so VmHWM is read first
         path = tmp_path / "g.json"
         script = (
             "import resource, sys\n"
             "from tftflip.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "try:\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        peak = next(l.split()[1] for l in fh if l.startswith('VmHWM:'))\n"
+            "except OSError:\n"
+            "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(peak)\n"
             "sys.exit(code)\n"
         )
         src = str(Path(tftflip.__file__).resolve().parent.parent)

@@ -200,6 +200,23 @@ class TestFlip:
                 outcomes.add(expected is ct)
         assert outcomes == ({True, False} if n > 1 else {False})
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            (1, 0, 2, 3),  # chord 0 is not short
+            (0, 2, 1, 3),  # chord 1 shares no triangle with chord 0
+            (0, 1, 3, 2),  # chord 3 shares no triangle with chord 2
+        ],
+    )
+    def test_invalid_rejected_by_phi_and_flip(self, order):
+        bad = ColoredTriangulation(3, tuple(T0.chords[k] for k in order))
+        assert not bad.is_valid()
+        with pytest.raises(ValueError):
+            bad.phi()
+        for i in range(4):
+            with pytest.raises(ValueError):
+                bad.flip(i)
+
     def test_invalid_stays_invalid(self):
         # validity is cached per instance; the verdict must not change
         swapped = (T0.chords[1], T0.chords[0]) + T0.chords[2:]

@@ -48,6 +48,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             check_rep((0, 0, 0), 3)
 
+    @pytest.mark.parametrize(
+        "r, n, message",
+        [
+            ((0, 0), 1, "representatives require n >= 2"),
+            ((0, 0, 0), 3, "need 4 exponents, got 3"),
+            ((0, 2, 0, 0), 3, "exponents 0..2 must be bits: (0, 2, 0, 0)"),
+            ((0, -1, 0, 0), 3, "exponents 0..2 must be bits: (0, -1, 0, 0)"),
+            ((0, 0.5, 0, 0), 3, "exponents 0..2 must be bits: (0, 0.5, 0, 0)"),
+            ((0, None, 0, 0), 3, "exponents 0..2 must be bits: (0, None, 0, 0)"),
+            ((0, 0, 0, 7), 3, "last exponent must be in 0..6: (0, 0, 0, 7)"),
+            ((0, 0, 0, -1), 3, "last exponent must be in 0..6: (0, 0, 0, -1)"),
+        ],
+        ids=["n1", "short", "two", "minus-one", "half", "none", "n+4", "last-minus-one"],
+    )
+    def test_check_rep_names_what_is_wrong(self, r, n, message):
+        with pytest.raises(ValueError) as exc:
+            check_rep(r, n)
+        assert str(exc.value) == message
+
     def test_text_form(self):
         assert parse_rep("1,0,1,2", 3) == (1, 0, 1, 2)
         assert format_rep((1, 0, 1, 2)) == "1,0,1,2"
