@@ -37,7 +37,7 @@ print("  (the group length of the top element is "
 print()
 
 print(f"diameter: closed form {diameter(n)}, "
-      f"BFS from all {2**n} rotation-orbit sources {bfs_diameter(n)}")
+      f"BFS from all {2**n} rotation-orbit sources {bfs_diameter(g)}")
 print()
 
 for r in (ident, (1, 0, 1, 2)):

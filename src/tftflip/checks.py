@@ -189,9 +189,10 @@ def check_volumes(n):
 
 
 def check_action_matches_geometry(n):
-    # one letter on one vertex three ways: the vector action, the flip
-    # and the step table; the triangulations are listed in id order, so
-    # flip and step table entries are both ids of ``vectors``
+    # one letter on one vertex three ways: the vector action and the step
+    # table both read _apply_generator, the table adding build_graph's
+    # fibers and id layout, and each is checked against the flip; with
+    # the triangulations in id order, both tables hold ids of ``vectors``
     vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
     flips = _flip_tables([geometry.phi_inv(v) for v in vectors], n)
     steps = _shared(flipgraph.build_graph, n).steps
@@ -424,7 +425,7 @@ def check_distance_formula(n):
 
 def check_diameter(n):
     closed = flipgraph.diameter(n)
-    by_bfs = flipgraph.bfs_diameter(n)
+    by_bfs = flipgraph.bfs_diameter(_shared(flipgraph.build_graph, n))
     if by_bfs != closed:
         return False, f"BFS diameter {by_bfs} != closed form {closed}"
     return True, f"diameter {closed} confirmed by BFS from all {2**n} rotation-orbit sources"
@@ -538,6 +539,8 @@ SUITES: list[Check] = [
     Check("meet-join", "lattice", 4, check_meet_join),
     Check("modularity", "lattice", 4, check_modularity),
     Check("duality", "lattice", 4, check_duality),
+    # counts lengths over all_reps(n), so not polynomial in n: 0.08 s /
+    # 21 MiB at n = 11, 0.74 s / 64 MiB at n = 14, 3.2 s / 249 MiB at 16
     Check("rank-polynomial", "lattice", 6, check_rank_polynomial),
     Check("graph-description", "graph", 5, check_graph_description),
     # 20 BFS sources over the step tables: 5.7 s at n = 11, 14 s at

@@ -4,12 +4,12 @@ A vertex is an exponent-vector representative, and its id is its index
 in the lexicographic order of ``all_reps(n)``: bits * (n+4) + e_n, where
 bits reads e_0 .. e_{n-1} with e_0 the most significant bit.  The graph
 is one step table per generator color, ``steps[i][v]`` the id of s_i v,
-built by bit operations on ids; a generator that fixes a vertex maps it
-to itself and contributes no edge.  The simple underlying graph is the
-Hasse diagram of the dominance lattice plus one "wrap" edge per choice
-of the first n-1 bits, and carries an exact distance formula and
-closed-form diameter, both cross-checked against breadth-first search
-over the tables.
+read off the generator action of ``representatives``; a generator that
+fixes a vertex maps it to itself and contributes no edge.  The simple
+underlying graph is the Hasse diagram of the dominance lattice plus one
+"wrap" edge per choice of the first n-1 bits, and carries an exact
+distance formula and closed-form diameter, both cross-checked against
+breadth-first search over the tables.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ __all__ = [
 
 # The step tables take 4 bytes per vertex and color (18 MiB at n = 14),
 # and the exports stream from them.  Measured at n = 14, one process each
-# (2 vCPU, Python 3.11): build_graph 0.4 s / 33 MiB; tft graph --format
-# json 4.7 s / 35 MiB for a 98 MB file, --format dot 2.4 s / 59 MiB (it
-# keeps one label per vertex).  Time, file and labels double per step
-# of n, so n = 20 would write a JSON file of over 6 GB.
+# (2 vCPU, Python 3.11): build_graph 0.3-0.4 s / 38 MiB; tft graph
+# --format json 5.5 s / 39 MiB for a 98 MB file, --format dot 3.4 s /
+# 61 MiB (it keeps one label per vertex).  Time, file and labels double
+# per step of n, so n = 20 would write a JSON file of over 6 GB.
 MAX_GRAPH_N = 14
 
 
@@ -63,33 +63,28 @@ class FlipGraph(NamedTuple):
 
 
 def build_graph(n: int) -> FlipGraph:
-    """One step table per generator color, built on ids.
-
-    s_0 toggles e_0, the top bit of the id's bits; s_i for 0 < i < n
-    swaps e_{i-1} and e_i when they differ; s_n toggles e_{n-1}, the
-    low bit, and steps e_n by +1 when it clears the bit and by -1 when
-    it sets it, modulo n+4.  Bounded by ``MAX_GRAPH_N`` to fit in memory.
+    """One step table per generator color, read off
+    ``representatives._apply_generator`` at the e_n = 0 vertex of each
+    fiber: the n+4 ids sharing their first n exponents, in ``product``
+    order.  No s_i reads e_n and s_n steps it by +-1 modulo n+4, so s_i
+    maps a fiber onto one fiber turned by that vertex's image e_n, and
+    the fiber's ids follow by rotation.  Guarded by the per-vertex sweep
+    ``TestStepTables::test_tables_equal_the_generator_sweep`` and by
+    ``action-vs-geometry`` and ``rotation-automorphism``.  Bounded by
+    ``MAX_GRAPH_N`` to fit in memory.
     """
     if not 2 <= n <= MAX_GRAPH_N:
         raise ValueError(f"graph construction supports 2 <= n <= {MAX_GRAPH_N}")
     m = n + 4
+    ids = array("i", range(m << n))
+    fibers = {bits: k * m for k, bits in enumerate(product((0, 1), repeat=n))}
     steps = []
     for i in range(n + 1):
         step = array("i")
-        for bits in range(1 << n):
-            if i == n:
-                start = (bits ^ 1) * m
-                turn = 1 if bits & 1 else m - 1
-                step.extend(start + (e + turn) % m for e in range(m))
-                continue
-            low = n - 1 - i  # the bit of e_i; e_{i-1} sits one above it
-            if i == 0:
-                other = bits ^ (1 << low)
-            elif (bits >> low ^ bits >> (low + 1)) & 1:
-                other = bits ^ (3 << low)
-            else:
-                other = bits
-            step.extend(range(other * m, other * m + m))
+        for bits in fibers:
+            s = reps._apply_generator(i, bits + (0,), n)
+            v, turn = fibers[s[:n]], s[n]
+            step += ids[v + turn : v + m] + ids[v : v + turn]
         steps.append(step)
     return FlipGraph(n, steps)
 
@@ -207,15 +202,14 @@ def diameter(n: int) -> int:
     return (n + 1) * (n + 4) // 2
 
 
-def bfs_diameter(n: int) -> int:
-    """Largest eccentricity over all vertices.
+def bfs_diameter(g: FlipGraph) -> int:
+    """Largest eccentricity over all vertices of ``g``.
 
     Rotating e_n is checked to be an automorphism, so one source per
     rotation orbit (e_n = 0) reaches every eccentricity, and every step
     table to be an involution, so a level may pull from neighbours.  All
     sources run in one sweep: bit k of ``seen[v]`` says that the source
     with id k*(n+4) has reached v."""
-    g = build_graph(n)
     defect = rotation_defect(g)
     if defect is not None:
         raise RuntimeError(defect)
@@ -224,8 +218,8 @@ def bfs_diameter(n: int) -> int:
         if list(map(step.__getitem__, step)) != ids:
             v = next(v for v in ids if step[step[v]] != v)
             raise RuntimeError(f"s_{i} is not an involution at vertex {v}")
-    m = n + 4
-    full = (1 << (1 << n)) - 1
+    m = g.n + 4
+    full = (1 << (1 << g.n)) - 1
     seen = [1 << (v // m) if v % m == 0 else 0 for v in ids]
     levels = 0
     while seen.count(full) < len(seen):

@@ -201,6 +201,8 @@ class ColoredTriangulation:
 
     def phi(self) -> PhiVector:
         """Encode as (center of chord 0; growth bits).  Requires validity."""
+        if len(self.chords) != self.n + 1:
+            raise ValueError(f"wrong chord count: {len(self.chords)} != {self.n + 1}")
         m = self.m
         a = short_center(self.chords[0], m)
         bits = []

@@ -4,6 +4,8 @@ from collections import Counter, defaultdict, deque
 
 import pytest
 
+from tftflip import representatives as reps
+from tftflip.checks import run_suite
 from tftflip.coxeter import coxeter_length, word_to_affine
 from tftflip.flipgraph import (
     _distance,
@@ -199,6 +201,24 @@ class TestStepTables:
     def test_tables_equal_the_generator_sweep(self, n):
         assert [list(step) for step in build_graph(n).steps] == reference_steps(n)
 
+    def test_tables_follow_the_one_generator_action(self, monkeypatch):
+        # s_1 now fixes the fiber 1,0,1 (every e_n) that it would move:
+        # the tables follow, one call per color and fiber, and the
+        # geometric oracle catches it
+        n, act, calls = 3, reps._apply_generator, []
+        before = [list(step) for step in build_graph(n).steps]
+
+        def patched(i, r, n):
+            calls.append(i)
+            return r if i == 1 and r[:n] == (1, 0, 1) else act(i, r, n)
+
+        monkeypatch.setattr(reps, "_apply_generator", patched)
+        after = [list(step) for step in build_graph(n).steps]
+        assert len(calls) == (n + 1) * 2**n
+        assert after == reference_steps(n) != before
+        rows = {name: status for name, status, _ in run_suite(n, "coxeter")}
+        assert rows["action-vs-geometry"] == "FAIL"
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_export_edges_equal_the_generator_sweep(self, n):
         edges = list(colored_edges(build_graph(n)))
@@ -217,7 +237,7 @@ class TestStepTables:
             eccentricities.append(max(dist))
         if n <= 6:
             # every source ran: the orbit sources must find the same maximum
-            assert bfs_diameter(n) == max(eccentricities)
+            assert bfs_diameter(g) == max(eccentricities)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_vertex_id_is_the_lex_index(self, n):
@@ -280,7 +300,7 @@ class TestDiameter:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_bfs_agrees(self, n):
-        assert bfs_diameter(n) == diameter(n)
+        assert bfs_diameter(build_graph(n)) == diameter(n)
 
     def test_formula_scan_agrees(self):
         assert formula_scan_diameter(3) == 14

@@ -217,6 +217,22 @@ class TestFlip:
             with pytest.raises(ValueError):
                 bad.flip(i)
 
+    @pytest.mark.parametrize(
+        "chords",
+        [
+            T0.chords + (frozenset((0, 2)),),  # one chord too many
+            T0.chords[:3],  # one chord too few
+        ],
+    )
+    def test_wrong_chord_count_rejected_by_phi_and_flip(self, chords):
+        bad = ColoredTriangulation(3, chords)
+        assert bad.violations() == [f"wrong chord count: {len(chords)} != 4"]
+        with pytest.raises(ValueError, match="wrong chord count"):
+            bad.phi()
+        for i in range(4):
+            with pytest.raises(ValueError):
+                bad.flip(i)
+
     def test_invalid_stays_invalid(self):
         # validity is cached per instance; the verdict must not change
         swapped = (T0.chords[1], T0.chords[0]) + T0.chords[2:]
