@@ -341,9 +341,9 @@ def check_meet_join(n):
 
 def check_modularity(n):
     rs = reps.all_reps(n)
-    for (r, s), meet, join in zip(product(rs, rs), *_shared(_bounds, n)):
-        lhs = reps.rep_length(join) + reps.rep_length(meet)
-        if lhs != reps.rep_length(r) + reps.rep_length(s):
+    pairs = product(zip(rs, map(reps.rep_length, rs)), repeat=2)
+    for ((r, a), (s, b)), meet, join in zip(pairs, *_shared(_bounds, n)):
+        if reps.rep_length(join) + reps.rep_length(meet) != a + b:
             return False, f"modularity fails at {r}, {s}"
     return True, "rank modularity l(join) + l(meet) = l(r) + l(s) on all pairs"
 
@@ -370,8 +370,9 @@ def check_duality(n):
 def check_rank_polynomial(n):
     poly = reps.rank_polynomial(n)
     counted = defaultdict(int)
-    for r in reps.all_reps(n):
-        counted[reps.rep_length(r)] += 1
+    for bits in product((0, 1), repeat=n):  # all_reps(n), one fiber at a time
+        for e in range(n + 4):
+            counted[reps.rep_length(bits + (e,))] += 1
     enumerated = [counted[k] for k in range(max(counted) + 1)]
     if poly != enumerated:
         return False, "product formula differs from enumerated length counts"
@@ -417,7 +418,7 @@ def check_distance_formula(n):
         dist = flipgraph.bfs_distances(g, u)
         r = rs[u]
         for v, s in enumerate(rs):
-            if flipgraph.distance_formula(r, s, n) != dist[v]:
+            if flipgraph._distance(r, s, n) != dist[v]:  # rs holds valid reps
                 return False, f"formula != BFS at {r}, {s}"
             pairs += 1
     return True, f"closed-form distance equals BFS on {label} pairs ({pairs})"
@@ -511,7 +512,7 @@ def check_rotation_automorphism(n):
 # -- registry -------------------------------------------------------
 
 SUITES: list[Check] = [
-    Check("counting", "geometry", 11, check_counting),  # n = 11: 4.9 s / 118 MiB
+    Check("counting", "geometry", 11, check_counting),  # n = 11: 3.6 s / 118 MiB
     Check("short-chords", "geometry", 11, check_short_chords),  # n = 11: 1.6 s / 111 MiB
     Check("phi-roundtrip", "geometry", 11, check_phi_roundtrip),  # n = 11: 2.8 s / 111 MiB
     # one locally judged flip per validated triangulation and colour:
@@ -539,8 +540,8 @@ SUITES: list[Check] = [
     Check("meet-join", "lattice", 4, check_meet_join),
     Check("modularity", "lattice", 4, check_modularity),
     Check("duality", "lattice", 4, check_duality),
-    # counts lengths over all_reps(n), so not polynomial in n: 0.08 s /
-    # 21 MiB at n = 11, 0.74 s / 64 MiB at n = 14, 3.2 s / 249 MiB at 16
+    # counts lengths one fiber at a time: 17 MiB peak at n = 11-16, but
+    # exponential time: 0.04 s at n = 11, 0.53 s at n = 14, 3.1 s at 16
     Check("rank-polynomial", "lattice", 6, check_rank_polynomial),
     Check("graph-description", "graph", 5, check_graph_description),
     # 20 BFS sources over the step tables: 5.7 s at n = 11, 14 s at
@@ -558,6 +559,7 @@ SUITES: list[Check] = [
     Check("diameter-scan", "graph", 11, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),
     Check("bipartition", "graph", 11, check_bipartition, min_n=3),  # n = 11: 0.20 s / 21 MiB
+    # one reduced word per long rep: 0.06 s at n = 6, 0.38 s at n = 8
     Check("shortest-reps", "graph", 5, check_shortest_representatives, min_n=3),
     Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),  # n = 11: 0.01 s
     Check("rotation-automorphism", "graph", 5, check_rotation_automorphism),

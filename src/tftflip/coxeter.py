@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import representatives as reps
 from .geometry import PhiVector
@@ -37,6 +37,7 @@ __all__ = [
     "base_vector",
     "coxeter_length",
     "left_descents",
+    "reduced_word",
     "g0_word",
     "gn_word",
     "stabilizer_generators",
@@ -202,21 +203,41 @@ def coxeter_length(m: AffineMap) -> int:
     return total
 
 
-def left_descents(m: AffineMap) -> list[int]:
-    """The generators s_i with l(s_i m) < l(m), in increasing order.
-
-    s_i is a left descent exactly when its wall of the base alcove
-    (x_1 = 0, x_i = x_{i+1}, x_n = 1) separates the alcove from its
-    image (Bjoerner-Brenti, Combinatorics of Coxeter Groups, ch. 8),
-    which one sign of the image of the interior point decides.
-    """
-    n = m.n
-    _, q = _scaled_image(m)
-    out = [0] if q[0] < 0 else []
-    out.extend(i for i in range(1, n) if q[i - 1] > q[i])
+def _descents(q: list[int], n: int) -> Iterator[int]:
+    """The left descents, in increasing order, of the element with
+    scaled image point ``q``: s_i is one exactly when its wall of the
+    base alcove (x_1 = 0, x_i = x_{i+1}, x_n = 1) separates the alcove
+    from its image, which one sign of ``q`` decides."""
+    if q[0] < 0:
+        yield 0
+    yield from (i for i in range(1, n) if q[i - 1] > q[i])
     if q[n - 1] > n + 1:
-        out.append(n)
-    return out
+        yield n
+
+
+def left_descents(m: AffineMap) -> list[int]:
+    """The generators s_i with l(s_i m) < l(m), in increasing order
+    (Bjoerner-Brenti, Combinatorics of Coxeter Groups, ch. 8)."""
+    return list(_descents(_scaled_image(m)[1], m.n))
+
+
+def reduced_word(m: AffineMap) -> tuple[int, ...]:
+    """A word of minimum length for ``m``, peeling its smallest left
+    descent s_i off the scaled image point ``q``, which s_i moves in
+    place, until ``q`` has none.  Then ``q`` lies in the base alcove,
+    which only the identity maps to itself (the group acts simply
+    transitively on alcoves), so it is the base point; a stop anywhere
+    else means the descent rule is broken."""
+    n, supports = m.n, _supports(m.n)
+    p, q = _scaled_image(m)
+    word = []
+    while (i := next(_descents(q, n), None)) is not None:
+        word.append(i)
+        for c, x in [(c, sign * q[col] + t * (n + 1)) for c, col, sign, t in supports[i]]:
+            q[c] = x
+    if q != p:
+        raise RuntimeError(f"no descent at {q}, not the base point: oracle broken")
+    return tuple(word)
 
 
 # -- stabilizer of the base triangulation ---------------------------

@@ -20,7 +20,7 @@ from operator import or_
 from typing import Iterator, NamedTuple
 
 from . import representatives as reps
-from .coxeter import AffineMap, gn_word, left_descents, word_to_affine
+from .coxeter import reduced_word, word_to_affine
 from .representatives import Rep
 
 __all__ = [
@@ -276,31 +276,23 @@ def sign(r: Rep) -> int:
 def shortest_representatives(n: int) -> list[tuple[Rep, tuple[int, ...]]]:
     """For every coset, a word of minimum group length representing it.
 
-    Representatives no longer than the diameter keep their own word;
-    the rest are shortened by the stabilizer element g_n^{-1}.  The
-    resulting word length equals the graph distance from the base
-    vertex (oracle-checked in the tests).
+    Representatives no longer than the diameter keep their own word.
+    A longer r is shortened by the stabilizer element a_n^{n+4}, where
+    a_n^{-1} = s_0 s_1 ... s_n: the e_n copies of a_n that end r cancel
+    in r a_n^{-(n+4)}, whose short word is that of (e_0, ..., e_{n-1}, 0)
+    followed by (s_0 ... s_n)^{n+4-e_n}.  ``coxeter.reduced_word``
+    re-reduces it.  The resulting word length equals the graph distance
+    from the base vertex (oracle-checked in the tests).
     """
     if n < 3:
         raise ValueError("shortest representatives require n >= 3")
     cutoff = diameter(n)
-    gn_inverse = gn_word(n)[::-1]
-    generators = [AffineMap.generator(n, i) for i in range(n + 1)]
     out = []
     for r in reps.all_reps(n):
         word = reps.rep_to_word(r)
         if reps.rep_length(r) > cutoff:
-            # r a_n^{-(n+4)} is shorter; re-reduce the concatenation by
-            # peeling left descents off the realized element
-            m = word_to_affine(n, word + gn_inverse)
-            word = []
-            while not m.is_identity():
-                descents = left_descents(m)
-                if not descents:
-                    raise RuntimeError("no descent found: oracle broken")
-                word.append(descents[0])
-                m = generators[descents[0]].compose(m)
-            word = tuple(word)
+            word = reps.rep_to_word(r[:n] + (0,)) + tuple(range(n + 1)) * (n + 4 - r[n])
+            word = reduced_word(word_to_affine(n, word))
         out.append((r, word))
     return out
 

@@ -171,12 +171,13 @@ class ColoredTriangulation:
             if chords_cross(c1, c2, m):
                 return (f"crossing chords {sorted(c1)} and {sorted(c2)}",)
         # n+1 pairwise non-crossing chords triangulate the polygon
+        # a face side is a boundary edge or a chord, never both, so face
+        # x < y < z has three chord sides when no gap y-x, z-y, m+x-z is 1
         out = []
-        chord_set = set(self.chords)
         tris = self.triangles()
-        for t in tris:
-            if all(frozenset(p) in chord_set for p in combinations(sorted(t), 2)):
-                out.append(f"inner triangle {sorted(t)} with three chord sides")
+        for x, y, z in map(sorted, tris):
+            if y - x > 1 < z - y and z - x < m - 1:
+                out.append(f"inner triangle {[x, y, z]} with three chord sides")
         if not is_short(self.chords[0], m):
             out.append("chord 0 is not short")
         else:
@@ -207,13 +208,12 @@ class ColoredTriangulation:
         a = short_center(self.chords[0], m)
         bits = []
         k = mm = 1  # chord i-1 is [a-k, a+mm]
-        for i in range(1, self.n + 1):
-            grown_left = frozenset(((a - k - 1) % m, (a + mm) % m))
-            grown_right = frozenset(((a - k) % m, (a + mm + 1) % m))
-            if self.chords[i] == grown_left:
+        for i, c in enumerate(self.chords[1:], 1):
+            # c has two endpoints, so holding both of a pair means equal
+            if (a - k - 1) % m in c and (a + mm) % m in c:
                 bits.append(0)
                 k += 1
-            elif self.chords[i] == grown_right:
+            elif (a - k) % m in c and (a + mm + 1) % m in c:
                 bits.append(1)
                 mm += 1
             else:
@@ -259,8 +259,11 @@ class ColoredTriangulation:
         apexes = frozenset(nx & ny - {x, y})
         if len(apexes) != 2:
             raise RuntimeError(f"chord {i} of {self} lies in {len(apexes)} triangles, not 2")
-        # some new face {p, q, z} would have three chord sides
-        if any(all((z - a) % m not in (1, m - 1) for a in apexes) for z in (x, y)):
+        # the quadrilateral x, p, y, q by offsets from x: a side of gap 1 is a
+        # boundary edge, and each new face {p, q, z} needs one of its sides at z
+        dp, dq = sorted((a - x) % m for a in apexes)
+        dy = (y - x) % m
+        if dp > 1 < m - dq or dy - dp > 1 < dq - dy:
             return self
         _check_chord(apexes, m)  # the other n chords were checked in self
         chords = self.chords[:i] + (apexes,) + self.chords[i + 1 :]

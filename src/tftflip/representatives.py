@@ -18,6 +18,7 @@ modular lattice: a self-dual lower interval of the left weak order.
 from __future__ import annotations
 
 from itertools import accumulate, product
+from operator import le, sub
 from typing import NamedTuple, Sequence
 
 from .geometry import PhiVector
@@ -169,15 +170,11 @@ def _apply_generator(i: int, r: Rep, n: int) -> Rep:
 # -- dominance order ------------------------------------------------
 
 
-def _suffix_sums(r: Rep) -> tuple[int, ...]:
-    return tuple(accumulate(reversed(r)))[::-1]  # index k -> sum of e_k..e_n
-
-
 def leq(r: Rep, s: Rep) -> bool:
     """Dominance order: every suffix sum of r is at most that of s."""
     if len(r) != len(s):
         raise ValueError("representatives must share n")
-    return all(x <= y for x, y in zip(_suffix_sums(r), _suffix_sums(s)))
+    return all(map(le, accumulate(reversed(r)), accumulate(reversed(s))))
 
 
 def covers(r: Rep, n: int) -> list[Rep]:
@@ -199,9 +196,9 @@ def _bound(op, r: Rep, s: Rep, n: int) -> Rep:
     """The rep whose suffix sums are ``op`` of those of ``r`` and ``s``."""
     check_rep(r, n)
     check_rep(s, n)
-    sums = [op(x, y) for x, y in zip(_suffix_sums(r), _suffix_sums(s))]
-    e = [sums[k] - sums[k + 1] for k in range(n)] + [sums[n]]
-    return check_rep(tuple(e), n)
+    # sums[j] = e_{n-j} + ... + e_n, so e_{n-j} = sums[j] - sums[j-1]
+    sums = list(map(op, accumulate(reversed(r)), accumulate(reversed(s))))
+    return check_rep(tuple(map(sub, sums, [0] + sums))[::-1], n)
 
 
 def meet(r: Rep, s: Rep, n: int) -> Rep:

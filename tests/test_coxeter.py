@@ -16,6 +16,7 @@ from tftflip.coxeter import (
     gn_word,
     gram_and_volumes,
     left_descents,
+    reduced_word,
     relation_words,
     word_to_affine,
 )
@@ -80,6 +81,23 @@ def test_word_to_affine_equals_the_composed_generators(n):
         for letter in word:
             expected = expected.compose(AffineMap.generator(n, letter))
         assert word_to_affine(n, word) == expected, word
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduced_word_realizes_the_map_with_length_letters(n):
+    rng = random.Random(100 + n)
+    for _ in range(40):
+        m = word_to_affine(n, tuple(rng.randrange(n + 1) for _ in range(rng.randrange(80))))
+        word = reduced_word(m)
+        assert word_to_affine(n, word) == m
+        assert len(word) == coxeter_length(m)
+
+
+def test_reduced_word_raises_where_no_descent_is_found(monkeypatch):
+    monkeypatch.setattr("tftflip.coxeter._descents", lambda q, n: iter(()))
+    assert reduced_word(AffineMap.identity(3)) == ()
+    with pytest.raises(RuntimeError, match="not the base point"):
+        reduced_word(AffineMap.generator(3, 2))
 
 
 class TestRelations:

@@ -6,7 +6,7 @@ import pytest
 
 from tftflip import representatives as reps
 from tftflip.checks import run_suite
-from tftflip.coxeter import coxeter_length, word_to_affine
+from tftflip.coxeter import AffineMap, coxeter_length, gn_word, left_descents, word_to_affine
 from tftflip.flipgraph import (
     _distance,
     antipode,
@@ -375,7 +375,41 @@ class TestBipartition:
             assert rep_length(u) % 2 != rep_length(v) % 2
 
 
+def reference_shortest_representatives(n):
+    """The per-letter peel: the long reps' words times a_n^{-(n+4)},
+    re-reduced by composing one generator map per smallest left
+    descent until the identity is left."""
+    gn_inverse = gn_word(n)[::-1]
+    generators = [AffineMap.generator(n, i) for i in range(n + 1)]
+    out = []
+    for r in all_reps(n):
+        word = reps.rep_to_word(r)
+        if rep_length(r) > diameter(n):
+            m = word_to_affine(n, word + gn_inverse)
+            word = []
+            while not m.is_identity():
+                word.append(left_descents(m)[0])
+                m = generators[word[-1]].compose(m)
+            word = tuple(word)
+        out.append((r, word))
+    return out
+
+
 class TestShortestRepresentatives:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_equal_to_the_per_letter_peel(self, n):
+        assert shortest_representatives(n) == reference_shortest_representatives(n)
+
+    def test_builds_one_map_per_long_rep(self, monkeypatch):
+        # the peel reads one image point, not one AffineMap per letter
+        built = []
+        check = AffineMap.__post_init__
+        monkeypatch.setattr(AffineMap, "__post_init__", lambda m: built.append(check(m)))
+        shortest_representatives(5)
+        long_reps = sum(rep_length(r) > diameter(5) for r in all_reps(5))
+        assert long_reps == 165
+        assert 0 < len(built) <= long_reps + 6
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_word_lengths_equal_graph_distance(self, n):
         dist = bfs_distances(build_graph(n), vertex_id(identity_rep(n), n))

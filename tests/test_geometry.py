@@ -92,6 +92,16 @@ class TestValidate:
         )
         assert any("inner triangle" in v for v in ct.violations())
 
+    @pytest.mark.parametrize("n, not_free", [(1, 0), (2, 2), (3, 14), (4, 68), (5, 285)])
+    def test_inner_triangle_exactly_where_not_triangle_free(self, n, not_free):
+        # every triangulation of the recursion, in an arbitrary coloring
+        triangulations = brute_force_triangulations(n + 4)
+        assert sum(not free for free in triangulations.values()) == not_free
+        for chords, free in triangulations.items():
+            ct = ColoredTriangulation(n, tuple(sorted(chords, key=sorted)))
+            inner = any("inner triangle" in v for v in ct.violations())
+            assert inner != free, ct
+
     def test_wrong_count_reported(self):
         ct = ColoredTriangulation(3, T0.chords[:3])
         assert any("chord count" in v for v in ct.violations())

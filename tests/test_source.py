@@ -31,3 +31,28 @@ def test_every_name_in_all_resolves():
     names = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
     assert len(names) > len(modules)
     assert [f"{m.__name__}.{name}" for m, name in names if not hasattr(m, name)] == []
+
+
+def test_every_private_helper_is_referenced():
+    # a kernel that a rewrite leaves behind fails here: each module-level
+    # private function is named in the library outside its own body
+    tops = [top for path in SOURCES for top in ast.parse(path.read_text()).body]
+    helpers = [
+        top
+        for top in tops
+        if isinstance(top, ast.FunctionDef)
+        and top.name.startswith("_")
+        and not top.name.endswith("__")
+    ]
+    assert len(helpers) > 10
+    names = [
+        {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(top)
+         if isinstance(node, (ast.Name, ast.Attribute))}
+        for top in tops
+    ]
+    unused = [
+        helper.name
+        for helper in helpers
+        if not any(helper.name in used for top, used in zip(tops, names) if top is not helper)
+    ]
+    assert unused == []
