@@ -15,8 +15,8 @@ breadth-first search over the tables.
 from __future__ import annotations
 
 from array import array
-from itertools import product
-from operator import or_
+from itertools import groupby, product
+from operator import itemgetter, or_
 from typing import Iterator, NamedTuple
 
 from . import representatives as reps
@@ -49,9 +49,9 @@ __all__ = [
 # The step tables take 4 bytes per vertex and color (18 MiB at n = 14),
 # and the exports stream from them.  Measured at n = 14, one process each
 # (2 vCPU, Python 3.11): build_graph 0.3-0.4 s / 38 MiB; tft graph
-# --format json 5.5 s / 39 MiB for a 98 MB file, --format dot 3.4 s /
-# 61 MiB (it keeps one label per vertex).  Time, file and labels double
-# per step of n, so n = 20 would write a JSON file of over 6 GB.
+# --format json 2.5-3.3 s / 39 MiB for a 98 MB file, --format dot
+# 2.4-2.9 s / 39 MiB for a 122 MB file.  Time and file size double per
+# step of n, so n = 20 would write a JSON file of over 6 GB.
 MAX_GRAPH_N = 14
 
 
@@ -105,10 +105,11 @@ def vertex_rep(v: int, n: int) -> Rep:
 
 
 def colored_edges(g: FlipGraph) -> Iterator[tuple[int, int, int]]:
-    """Every colored edge (u, v, color), u < v, in sorted order."""
-    for u in range(len(g.steps[0])):
-        ups = sorted((step[u], i) for i, step in enumerate(g.steps) if step[u] > u)
-        for v, color in ups:
+    """Every colored edge (u, v, color), u < v, in sorted order: one
+    pass over the zipped step tables, whose row u lists s_0 u .. s_n u.
+    Guarded by ``TestStepTables::test_export_edges_equal_the_generator_sweep``."""
+    for u, row in enumerate(zip(*g.steps)):
+        for v, color in sorted((v, i) for i, v in enumerate(row) if v > u):
             yield u, v, color
 
 
@@ -300,33 +301,71 @@ def shortest_representatives(n: int) -> list[tuple[Rep, tuple[int, ...]]]:
 # -- exports --------------------------------------------------------
 
 
+def _fiber_heads(n: int) -> Iterator[tuple[Rep, str]]:
+    """The e_n = 0 vertex of each fiber in id order, with its label
+    less the final "0": a fiber's labels are that head followed by e_n."""
+    for bits in product((0, 1), repeat=n):
+        r = bits + (0,)
+        yield r, reps.format_rep(r)[:-1]
+
+
 def dot_lines(g: FlipGraph) -> Iterator[str]:
-    """DOT text with representative labels and generator-colored edges."""
-    labels = [reps.format_rep(vertex_rep(v, g.n)) for v in range(len(g.steps[0]))]
+    """DOT text with representative labels and generator-colored edges.
+
+    The label of id v is its fiber's head (``_fiber_heads``, 2^n
+    strings) followed by e_n = v mod (n+4), so ``format_rep`` runs once
+    per fiber.  Guarded by the per-vertex reference in
+    ``TestExports::test_streamed_export_equals_the_reference``, by
+    ``TestExports::test_exports_read_the_library_once_per_fiber`` and,
+    at n = 12, by ``TestGraph::test_n12_dot_export_streams_in_small_memory``.
+    """
+    m = g.n + 4
+    heads = [head for _, head in _fiber_heads(g.n)]
     yield f"graph flipgraph_n{g.n} {{\n"
-    for label in labels:
-        yield f'  "{label}";\n'
-    for u, v, color in colored_edges(g):
-        yield f'  "{labels[u]}" -- "{labels[v]}" [label="color={color}"];\n'
+    for head in heads:
+        yield "".join(f'  "{head}{e}";\n' for e in range(m))
+    for u, edges in groupby(colored_edges(g), itemgetter(0)):
+        label = heads[u // m] + str(u % m)
+        yield "".join(
+            f'  "{label}" -- "{heads[v // m]}{v % m}" [label="color={color}"];\n'
+            for _, v, color in edges
+        )
     yield "}\n"
 
 
+_NEXT = "  },\n  {"  # closes one JSON record and opens the next
+
+
 def json_lines(g: FlipGraph) -> Iterator[str]:
-    """Format-1 JSON, laid out as ``json.dumps(doc, indent=1)``."""
-    yield f'{{\n "format": 1,\n "n": {g.n},\n "vertices": [\n'
+    """Format-1 JSON, laid out as ``json.dumps(doc, indent=1)``.
+
+    The library is read once per fiber, at its e_n = 0 vertex r: raising
+    e_n to e appends e to the label, moves the phi center from a to
+    (a - e) mod (n+4) and adds (n+1)*e to the length, one a_n factor per
+    step.  Guarded by the per-vertex reference in
+    ``TestExports::test_streamed_export_equals_the_reference``, by
+    ``TestExports::test_exports_read_the_library_once_per_fiber`` and,
+    at n = 12, by ``TestGraph::test_n12_json_export_streams_in_small_memory``.
+    """
+    n, m = g.n, g.n + 4
+    yield f'{{\n "format": 1,\n "n": {n},\n "vertices": [\n'
     sep = "  {"
-    for v in range(len(g.steps[0])):
-        r = vertex_rep(v, g.n)
-        yield (
-            f'{sep}\n   "rep": "{reps.format_rep(r)}",\n'
-            f'   "phi": "{reps.rep_to_phi(r, g.n)}",\n   "length": {reps.rep_length(r)}\n'
+    for r, head in _fiber_heads(n):
+        phi, length = reps.rep_to_phi(r, n), reps.rep_length(r)
+        bits = str(phi).partition(":")[2]
+        yield sep + _NEXT.join(
+            f'\n   "rep": "{head}{e}",\n   "phi": "{(phi.a - e) % m}:{bits}",\n'
+            f'   "length": {length + (n + 1) * e}\n'
+            for e in range(m)
         )
-        sep = "  },\n  {"
+        sep = _NEXT
     yield '  }\n ],\n "edges": [\n'
     sep = "  {"
-    for u, v, color in colored_edges(g):
-        yield f'{sep}\n   "u": {u},\n   "v": {v},\n   "color": {color}\n'
-        sep = "  },\n  {"
+    for u, edges in groupby(colored_edges(g), itemgetter(0)):
+        yield sep + _NEXT.join(
+            f'\n   "u": {u},\n   "v": {v},\n   "color": {color}\n' for _, v, color in edges
+        )
+        sep = _NEXT
     yield "  }\n ]\n}\n"
 
 

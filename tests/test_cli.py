@@ -29,6 +29,34 @@ def assert_one_line_usage_error(capsys):
     assert captured.err.count("\n") == 1
 
 
+def n12_export(tmp_path, fmt):
+    """Runs ``tft graph -n 12`` in a fresh process; returns its peak RSS
+    in KiB and the SHA-256 of the file.  Linux keeps ru_maxrss across
+    execve, where it would report the pytest parent's peak, so VmHWM is
+    read first."""
+    path = tmp_path / f"g.{fmt}"
+    script = (
+        "import resource, sys\n"
+        "from tftflip.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        peak = next(l.split()[1] for l in fh if l.startswith('VmHWM:'))\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(tftflip.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["graph", "-n", "12", "--format", fmt, "-o", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return int(proc.stdout.split()[-1]), hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestCount:
     def test_n3(self, capsys):
         code, out, _ = run(capsys, "count", "-n", "3")
@@ -203,33 +231,17 @@ class TestGraph:
         assert path.read_text().startswith("graph flipgraph_n2 {")
 
     def test_n12_json_export_streams_in_small_memory(self, tmp_path):
-        # a fresh process reports its own peak RSS in KiB; built whole as
-        # one document and string, this export peaked at 347 MiB.  Linux
-        # keeps ru_maxrss across execve, where it would report the pytest
-        # parent's peak, so VmHWM is read first
-        path = tmp_path / "g.json"
-        script = (
-            "import resource, sys\n"
-            "from tftflip.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "try:\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        peak = next(l.split()[1] for l in fh if l.startswith('VmHWM:'))\n"
-            "except OSError:\n"
-            "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(peak)\n"
-            "sys.exit(code)\n"
-        )
-        src = str(Path(tftflip.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        argv = ["graph", "-n", "12", "--format", "json", "-o", str(path)]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert int(proc.stdout.split()[-1]) < 64 * 1024
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        # built whole as one document and string, it peaked at 347 MiB
+        peak, digest = n12_export(tmp_path, "json")
+        assert peak < 64 * 1024
         assert digest == "69f3a9a4418ec17de37ba664e7efc7ed4c0ba1d21a561dac2ab6a8438a7d3390"
+
+    def test_n12_dot_export_streams_in_small_memory(self, tmp_path):
+        # built whole it peaked at 130 MiB, and with one label per
+        # vertex at 26 MiB
+        peak, digest = n12_export(tmp_path, "dot")
+        assert peak < 64 * 1024
+        assert digest == "2c38da44c73cb1d99f36cc11b7eba4c5fabbb6bc38fb8cac9f23ebf4c6cea2eb"
 
 
 class TestVerify:

@@ -449,6 +449,29 @@ class TestExports:
         if lines is json_lines:
             assert json.loads(text) == json.loads(expected)
 
+    @pytest.mark.parametrize(
+        "lines, counted",
+        [(dot_lines, ["format_rep"]), (json_lines, ["format_rep", "rep_to_phi", "rep_length"])],
+        ids=["dot", "json"],
+    )
+    def test_exports_read_the_library_once_per_fiber(self, monkeypatch, lines, counted):
+        # one call per fiber of n = 5 (2^5 = 32); one per vertex would be 288
+        calls = Counter()
+
+        def counting(name):
+            call = getattr(reps, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return call(*args)
+
+            return wrapper
+
+        for name in ("format_rep", "rep_to_phi", "rep_length"):
+            monkeypatch.setattr(reps, name, counting(name))
+        "".join(lines(build_graph(5)))
+        assert calls == {name: 32 for name in counted}
+
     def test_json_vertex_records(self, g3):
         doc = json.loads("".join(json_lines(g3)))
         assert doc["format"] == 1
