@@ -503,9 +503,17 @@ def check_lower_bound(n):
 
 
 def check_rotation_automorphism(n):
-    defect = flipgraph.rotation_defect(_shared(flipgraph.build_graph, n))
+    g = _shared(flipgraph.build_graph, n)
+    defect = flipgraph.rotation_defect(g)
     if defect is not None:
         return False, defect
+    # build_graph fills each fiber by this rotation, so its tables commute
+    # with it by construction: hold every entry to the generator action
+    for u, r in enumerate(reps.all_reps(n)):
+        for i, step in enumerate(g.steps):
+            v = flipgraph.vertex_id(reps._apply_generator(i, r, n), n)
+            if step[u] != v:
+                return False, f"s_{i} at vertex {u}: table {step[u]} != generator {v}"
     return True, "right multiplication by a_n is a graph automorphism"
 
 

@@ -126,35 +126,6 @@ class ColoredTriangulation:
         """Number of polygon vertices."""
         return self.n + 4
 
-    # -- structure ---------------------------------------------------
-
-    def _neighbours(self) -> list[set[int]]:
-        """Vertex -> the vertices it shares a boundary edge or chord with."""
-        m = self.m
-        nbrs = [{(v - 1) % m, (v + 1) % m} for v in range(m)]
-        for x, y in self.chords:
-            nbrs[x].add(y)
-            nbrs[y].add(x)
-        return nbrs
-
-    def triangles(self) -> list[frozenset]:
-        """All triangular faces, as vertex triples in lexicographic order.
-
-        With vertices in convex position every 3-cycle of edges bounds
-        an empty triangle, so faces are exactly the pairwise-connected
-        triples.
-        """
-        nbrs = self._neighbours()
-        triples = sorted(
-            (x, y, z)
-            for x in range(self.m)
-            for y in nbrs[x]
-            if y > x
-            for z in nbrs[x] & nbrs[y]
-            if z > y
-        )
-        return [frozenset(t) for t in triples]
-
     def violations(self) -> list[str]:
         """Names of violated invariants; empty means valid."""
         return list(self._violations)
@@ -163,29 +134,30 @@ class ColoredTriangulation:
     def _violations(self) -> tuple[str, ...]:
         # the fields are immutable, so validity is computed once
         m = self.m
+        chords = set(self.chords)
         if len(self.chords) != self.n + 1:
             return (f"wrong chord count: {len(self.chords)} != {self.n + 1}",)
-        if len(set(self.chords)) != self.n + 1:
+        if len(chords) != self.n + 1:
             return ("duplicate chords",)
+        # in convex position every 3-cycle of edges bounds a face, so two
+        # chords sharing one end bound an inner triangle when their other
+        # ends form a third chord; disjoint chords leave four ends, never one
+        inner = set()
         for c1, c2 in combinations(self.chords, 2):
             if chords_cross(c1, c2, m):
                 return (f"crossing chords {sorted(c1)} and {sorted(c2)}",)
+            if c1 ^ c2 in chords:
+                inner.add(tuple(sorted(c1 | c2)))
         # n+1 pairwise non-crossing chords triangulate the polygon
-        # a face side is a boundary edge or a chord, never both, so face
-        # x < y < z has three chord sides when no gap y-x, z-y, m+x-z is 1
-        out = []
-        tris = self.triangles()
-        for x, y, z in map(sorted, tris):
-            if y - x > 1 < z - y and z - x < m - 1:
-                out.append(f"inner triangle {[x, y, z]} with three chord sides")
+        out = [f"inner triangle {list(t)} with three chord sides" for t in sorted(inner)]
         if not is_short(self.chords[0], m):
             out.append("chord 0 is not short")
         else:
-            faces = set(tris)
+            # by the same rule chords i-1 and i share a face exactly when
+            # they share one end and their other ends form a side
+            sides = chords.union(frozenset((v, (v + 1) % m)) for v in range(m))
             for i in range(1, self.n + 1):
-                # two distinct chords lie in a common face exactly when
-                # their union is that face
-                if self.chords[i - 1] | self.chords[i] not in faces:
+                if self.chords[i - 1] ^ self.chords[i] not in sides:
                     out.append(
                         f"improper coloring: chord {i} shares no triangle with chord {i - 1}"
                     )
@@ -248,8 +220,9 @@ class ColoredTriangulation:
             raise ValueError("flip requires a valid triangulation")
         m = self.m
         x, y = self.chords[i]
-        # the apexes of the chord's two triangles (as in triangles(),
-        # every 3-cycle of edges bounds a face) span the other diagonal
+        # the apexes of the chord's two triangles, the vertices joined to
+        # both ends (every 3-cycle of edges bounds a face), span the other
+        # diagonal
         nx, ny = {(x - 1) % m, (x + 1) % m}, {(y - 1) % m, (y + 1) % m}
         for c in self.chords:
             if x in c:

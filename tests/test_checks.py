@@ -192,11 +192,12 @@ def test_flip_involution_flips_each_triangulation_once_per_color(monkeypatch):
 
 
 def test_flip_involution_validates_only_the_enumerated_triangulations(monkeypatch):
-    # triangles() is called only by the full validator: once per
-    # enumerated triangulation, and never on a flipped candidate
-    scans = counted(monkeypatch, geometry.ColoredTriangulation, "triangles")
+    # chords_cross is called only by the full validator, once per pair of
+    # chords: 15 pairs per enumerated triangulation, none on a flipped
+    # candidate
+    pairs = counted(monkeypatch, geometry, "chords_cross")
     assert checks.check_flip_involution(5)[0]
-    assert len(scans) == 9 * 2**5 == 288
+    assert len(pairs) == 9 * 2**5 * 15 == 4320
 
 
 @pytest.mark.parametrize(
@@ -300,6 +301,21 @@ def test_graph_checks_catch_a_table_without_rotation_symmetry(monkeypatch, check
     broken_tables(monkeypatch, join_fixed_vertices)
     assert row(name) == (
         "FAIL", "rotating e_n does not commute with s_1 at vertex 0"
+    )
+
+
+def test_rotation_automorphism_holds_the_tables_to_the_generator_action(monkeypatch):
+    # build_graph reads the action at e_n = 0 only and fills each fiber
+    # by rotation, so tables that commute with it can still miss that
+    # s_1 stops moving the e_n = 3 vertices
+    act = reps._apply_generator
+    monkeypatch.setattr(
+        reps, "_apply_generator",
+        lambda i, r, n: r if i == 1 and r[n] == 3 else act(i, r, n),
+    )
+    # id 17 is (0, 1, 0; 3), which s_1 sends to (1, 0, 0; 3), id 31
+    assert row("rotation-automorphism") == (
+        "FAIL", "s_1 at vertex 17: table 31 != generator 17"
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 
@@ -102,6 +103,24 @@ class TestValidate:
             inner = any("inner triangle" in v for v in ct.violations())
             assert inner != free, ct
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_valid_orders_are_exactly_the_two_colorings(self, n):
+        # every triangulation of the recursion in every chord order: a
+        # triangle-free one is valid in its two proper colorings, any
+        # other in none, and phi() refuses every invalid order
+        valid = []
+        for chords, free in brute_force_triangulations(n + 4).items():
+            orders = [ColoredTriangulation(n, p) for p in permutations(chords)]
+            good = [ct.chords for ct in orders if ct.is_valid()]
+            assert len(good) == 2 * free, chords
+            valid += good
+            for ct in orders:
+                if not ct.is_valid():
+                    with pytest.raises(ValueError):
+                        ct.phi()
+        cts = enumerate_ctft(n)
+        assert len(valid) == len(cts) and set(valid) == {ct.chords for ct in cts}
+
     def test_wrong_count_reported(self):
         ct = ColoredTriangulation(3, T0.chords[:3])
         assert any("chord count" in v for v in ct.violations())
@@ -198,11 +217,14 @@ class TestFlip:
     def test_local_rule_equals_full_validation(self, n):
         # reference: swap chord i for the other diagonal of its
         # quadrilateral and keep the candidate iff is_valid() accepts it
-        outcomes = set()
+        m, outcomes = n + 4, set()
         for ct in enumerate_ctft(n):
-            nbrs = ct._neighbours()
+            sides = set(ct.chords) | {frozenset((v, (v + 1) % m)) for v in range(m)}
             for i, (x, y) in enumerate(ct.chords):
-                other = frozenset(nbrs[x] & nbrs[y])
+                # the apexes: the vertices joined to both ends of chord i
+                other = frozenset(
+                    z for z in range(m) if {frozenset((x, z)), frozenset((y, z))} <= sides
+                )
                 chords = ct.chords[:i] + (other,) + ct.chords[i + 1 :]
                 candidate = ColoredTriangulation(n, chords)
                 expected = candidate if candidate.is_valid() else ct

@@ -34,25 +34,33 @@ def test_every_name_in_all_resolves():
 
 
 def test_every_private_helper_is_referenced():
-    # a kernel that a rewrite leaves behind fails here: each module-level
-    # private function is named in the library outside its own body
-    tops = [top for path in SOURCES for top in ast.parse(path.read_text()).body]
+    # a kernel that a rewrite leaves behind fails here: each private
+    # module-level function, and each private method or property of a
+    # class, is named in the library outside its own body
+    units = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                units += [*top.decorator_list, *top.bases, *top.body]
+            else:
+                units.append(top)
     helpers = [
-        top
-        for top in tops
-        if isinstance(top, ast.FunctionDef)
-        and top.name.startswith("_")
-        and not top.name.endswith("__")
+        unit
+        for unit in units
+        if isinstance(unit, ast.FunctionDef)
+        and unit.name.startswith("_")
+        and not unit.name.endswith("__")
     ]
     assert len(helpers) > 10
+    assert "_violations" in {helper.name for helper in helpers}  # a class-body property
     names = [
-        {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(top)
+        {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(unit)
          if isinstance(node, (ast.Name, ast.Attribute))}
-        for top in tops
+        for unit in units
     ]
     unused = [
         helper.name
         for helper in helpers
-        if not any(helper.name in used for top, used in zip(tops, names) if top is not helper)
+        if not any(helper.name in used for unit, used in zip(units, names) if unit is not helper)
     ]
     assert unused == []
