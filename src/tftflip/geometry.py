@@ -17,7 +17,7 @@ chords 0..i-1 by one vertex counterclockwise (bit 0) or clockwise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 __all__ = [
@@ -41,6 +41,23 @@ def _check_chord(chord: Chord, m: int) -> None:
         raise ValueError(f"chord endpoints out of range 0..{m - 1}: {set(chord)}")
     if (y - x) % m in (1, m - 1):
         raise ValueError(f"chord endpoints are adjacent on the boundary: {set(chord)}")
+
+
+@lru_cache(maxsize=16)
+def _chords(m: int) -> tuple[tuple[Chord | None, ...], ...]:
+    """``_chords(m)[x][y]``: the one shared chord {x, y} of the m-gon, or
+    ``None`` when x and y are equal or adjacent."""
+    rows = [[None] * m for _ in range(m)]
+    for x, y in combinations(range(m), 2):
+        if 1 < y - x < m - 1:
+            rows[x][y] = rows[y][x] = frozenset((x, y))
+    return tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=16)
+def _sides(m: int) -> frozenset[Chord]:
+    """The m boundary edges {v, v + 1} of the m-gon."""
+    return frozenset(frozenset((v, (v + 1) % m)) for v in range(m))
 
 
 def is_short(c: Chord, m: int) -> bool:
@@ -141,13 +158,15 @@ class ColoredTriangulation:
             return ("duplicate chords",)
         # in convex position every 3-cycle of edges bounds a face, so two
         # chords sharing one end bound an inner triangle when their other
-        # ends form a third chord; disjoint chords leave four ends, never one
+        # ends form a third chord; only disjoint chords can cross, and they
+        # leave four ends, never a third chord
         inner = set()
         for c1, c2 in combinations(self.chords, 2):
-            if chords_cross(c1, c2, m):
+            if not c1.isdisjoint(c2):
+                if c1 ^ c2 in chords:
+                    inner.add(tuple(sorted(c1 | c2)))
+            elif chords_cross(c1, c2, m):
                 return (f"crossing chords {sorted(c1)} and {sorted(c2)}",)
-            if c1 ^ c2 in chords:
-                inner.add(tuple(sorted(c1 | c2)))
         # n+1 pairwise non-crossing chords triangulate the polygon
         out = [f"inner triangle {list(t)} with three chord sides" for t in sorted(inner)]
         if not is_short(self.chords[0], m):
@@ -155,9 +174,10 @@ class ColoredTriangulation:
         else:
             # by the same rule chords i-1 and i share a face exactly when
             # they share one end and their other ends form a side
-            sides = chords.union(frozenset((v, (v + 1) % m)) for v in range(m))
+            boundary = _sides(m)
             for i in range(1, self.n + 1):
-                if self.chords[i - 1] ^ self.chords[i] not in sides:
+                side = self.chords[i - 1] ^ self.chords[i]
+                if side not in chords and side not in boundary:
                     out.append(
                         f"improper coloring: chord {i} shares no triangle with chord {i - 1}"
                     )
@@ -204,52 +224,53 @@ class ColoredTriangulation:
         colored triangle-free triangulation, and ``self`` unchanged
         otherwise.  Always an involution.
 
-        The input is fully validated and the flip judged locally: chord
-        i = {x, y} becomes {p, q}, the other diagonal of its
-        quadrilateral, exactly when neither new face {p, q, z}, z in
-        {x, y}, has three chord sides.  The rest carries over from the
-        valid input: {p, q} crosses no chord, the other faces stay,
-        chords i +- 1 are sides of the quadrilateral (they shared a face
-        with chord i), and the faces of chord 0 = {a - 1, a + 1} force
-        {p, q} = {a, a +- 2}, again short.  ``tft verify`` checks every
-        verdict against fully validated triangulations.
+        The input is fully validated and the flip judged locally.  With
+        no inner triangle every face has at most two chord sides, so the
+        dual tree of the triangulation is a path, and a proper coloring
+        runs along it: the two faces of chord i = {x, y} are the ones it
+        shares with chords i - 1 and i + 1, and at i = 0 or n the ear
+        cut off by the short chord.  Their apexes p and q are the end of
+        chord i -+ 1 off chord i, or the ear's center.  Chord i becomes
+        {p, q}, the other diagonal of the quadrilateral x, p, y, q,
+        exactly when neither new face {p, q, z}, z in {x, y}, has three
+        chord sides.  The rest carries over from the valid input: {p, q}
+        crosses no chord, the other faces stay, chords i +- 1 are sides
+        of the quadrilateral, and the faces of chord 0 = {a - 1, a + 1}
+        force {p, q} = {a, a +- 2}, again short.  ``tft verify`` checks
+        every verdict against fully validated triangulations.
         """
         if not 0 <= i <= self.n:
             raise ValueError(f"color {i} out of range 0..{self.n}")
         if not self.is_valid():
             raise ValueError("flip requires a valid triangulation")
-        m = self.m
-        x, y = self.chords[i]
-        # the apexes of the chord's two triangles, the vertices joined to
-        # both ends (every 3-cycle of edges bounds a face), span the other
-        # diagonal
-        nx, ny = {(x - 1) % m, (x + 1) % m}, {(y - 1) % m, (y + 1) % m}
-        for c in self.chords:
-            if x in c:
-                nx |= c
-            if y in c:
-                ny |= c
-        apexes = frozenset(nx & ny - {x, y})
-        if len(apexes) != 2:
-            raise RuntimeError(f"chord {i} of {self} lies in {len(apexes)} triangles, not 2")
+        m, n, chords = self.m, self.n, self.chords
+        x, y = chords[i]
+        apexes = []
+        for j in (i - 1, i + 1):
+            if 0 <= j <= n:
+                u, v = chords[j]  # shares one end with chord i
+                apexes.append(v if u == x or u == y else u)
+            else:  # chord i is short and cuts off an ear
+                apexes.append(short_center(chords[i], m))
         # the quadrilateral x, p, y, q by offsets from x: a side of gap 1 is a
         # boundary edge, and each new face {p, q, z} needs one of its sides at z
         dp, dq = sorted((a - x) % m for a in apexes)
         dy = (y - x) % m
+        if not 0 < dp < dy < dq:
+            raise RuntimeError(f"chord {i} of {self} has apexes {apexes}, not one on each side")
         if dp > 1 < m - dq or dy - dp > 1 < dq - dy:
             return self
-        _check_chord(apexes, m)  # the other n chords were checked in self
-        chords = self.chords[:i] + (apexes,) + self.chords[i + 1 :]
+        # p and q lie on the two sides of chord i, so they span a chord
+        other = _chords(m)[(x + dp) % m][(x + dq) % m]
         flipped = object.__new__(ColoredTriangulation)  # so __post_init__ checks none again
-        flipped.__dict__.update(n=self.n, chords=chords)
+        flipped.__dict__.update(n=n, chords=chords[:i] + (other,) + chords[i + 1 :])
         return flipped
 
     def rotate(self, k: int) -> "ColoredTriangulation":
         """Rotate all vertex labels by k (mod n+4); colors are preserved."""
-        m = self.m
+        m, table = self.m, _chords(self.m)
         return ColoredTriangulation(
-            self.n,
-            tuple(frozenset((x + k) % m for x in c) for c in self.chords),
+            self.n, tuple(table[(x + k) % m][(y + k) % m] for x, y in self.chords)
         )
 
     def reverse_colors(self) -> "ColoredTriangulation":
@@ -268,12 +289,12 @@ class ColoredTriangulation:
 
 def phi_inv(v: PhiVector) -> ColoredTriangulation:
     """Rebuild the triangulation encoded by a phi vector."""
-    m = v.n + 4
-    chords = [frozenset(((v.a - 1) % m, (v.a + 1) % m))]
+    m, table = v.n + 4, _chords(v.n + 4)
+    chords = [table[(v.a - 1) % m][(v.a + 1) % m]]
     k = mm = 1
     for b in v.bits:  # 0 grows the fan counterclockwise, 1 clockwise
         k, mm = k + 1 - b, mm + b
-        chords.append(frozenset(((v.a - k) % m, (v.a + mm) % m)))
+        chords.append(table[(v.a - k) % m][(v.a + mm) % m])
     return ColoredTriangulation(v.n, tuple(chords))  # checks every chord
 
 

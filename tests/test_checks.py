@@ -3,6 +3,9 @@
 import random
 import time
 from array import array
+from collections import Counter
+from functools import cached_property
+from itertools import combinations
 
 import pytest
 
@@ -192,12 +195,26 @@ def test_flip_involution_flips_each_triangulation_once_per_color(monkeypatch):
 
 
 def test_flip_involution_validates_only_the_enumerated_triangulations(monkeypatch):
-    # chords_cross is called only by the full validator, once per pair of
-    # chords: 15 pairs per enumerated triangulation, none on a flipped
-    # candidate
+    # validity is computed once per enumerated triangulation and never on
+    # a flipped candidate: every candidate equals an enumerated one, so a
+    # second validation would count it twice.  The crossing test runs on
+    # the chord pairs that share no end, counted here from the chords
+    n = 5
+    cts = geometry.enumerate_ctft(n)
+    disjoint = sum(not c1 & c2 for ct in cts for c1, c2 in combinations(ct.chords, 2))
+    compute, validated = geometry.ColoredTriangulation._violations.func, []
+
+    def counting(ct):
+        validated.append(ct)
+        return compute(ct)
+
+    prop = cached_property(counting)
+    prop.__set_name__(geometry.ColoredTriangulation, "_violations")
+    monkeypatch.setattr(geometry.ColoredTriangulation, "_violations", prop)
     pairs = counted(monkeypatch, geometry, "chords_cross")
-    assert checks.check_flip_involution(5)[0]
-    assert len(pairs) == 9 * 2**5 * 15 == 4320
+    assert checks.check_flip_involution(n)[0]
+    assert Counter(validated) == dict.fromkeys(cts, 1)
+    assert len(pairs) == disjoint < len(cts) * 15
 
 
 @pytest.mark.parametrize(

@@ -29,16 +29,14 @@ def assert_one_line_usage_error(capsys):
     assert captured.err.count("\n") == 1
 
 
-def n12_export(tmp_path, fmt):
-    """Runs ``tft graph -n 12`` in a fresh process; returns its peak RSS
-    in KiB and the SHA-256 of the file.  Linux keeps ru_maxrss across
-    execve, where it would report the pytest parent's peak, so VmHWM is
-    read first."""
-    path = tmp_path / f"g.{fmt}"
+def child_peak(body, *argv):
+    """Runs ``body``, which sets the exit status ``code``, in a fresh
+    process with ``argv``; returns its peak RSS in KiB.  Linux keeps
+    ru_maxrss across execve, where it would report the pytest parent's
+    peak, so VmHWM is read first."""
     script = (
         "import resource, sys\n"
-        "from tftflip.cli import main\n"
-        "code = main(sys.argv[1:])\n"
+        f"{body}"
         "try:\n"
         "    with open('/proc/self/status') as fh:\n"
         "        peak = next(l.split()[1] for l in fh if l.startswith('VmHWM:'))\n"
@@ -49,12 +47,20 @@ def n12_export(tmp_path, fmt):
     )
     src = str(Path(tftflip.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    argv = ["graph", "-n", "12", "--format", fmt, "-o", str(path)]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    return int(proc.stdout.split()[-1]), hashlib.sha256(path.read_bytes()).hexdigest()
+    return int(proc.stdout.split()[-1])
+
+
+def n12_export(tmp_path, fmt):
+    """Runs ``tft graph -n 12`` in a fresh process; returns its peak RSS
+    in KiB and the SHA-256 of the file."""
+    path = tmp_path / f"g.{fmt}"
+    body = "from tftflip.cli import main\ncode = main(sys.argv[1:])\n"
+    peak = child_peak(body, "graph", "-n", "12", "--format", fmt, "-o", str(path))
+    return peak, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestCount:
@@ -245,6 +251,15 @@ class TestGraph:
 
 
 class TestVerify:
+    def test_n10_counting_shares_its_chords(self):
+        # 14,336 triangulations with private chords peaked at 60 MiB; on
+        # the 77 shared chords of the 14-gon they take 26 MiB
+        body = (
+            "from tftflip.checks import check_counting\n"
+            "code = 0 if check_counting(10)[0] else 1\n"
+        )
+        assert child_peak(body) < 40 * 1024
+
     def test_geometry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "-n", "2", "--suite", "geometry")
         assert code == 0

@@ -232,6 +232,33 @@ class TestFlip:
                 outcomes.add(expected is ct)
         assert outcomes == ({True, False} if n > 1 else {False})
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_chords_are_shared(self, n):
+        # every chord of every enumerated triangulation, of its flips and
+        # of a rotation is one of at most m(m-3)/2 objects, one per chord
+        m, objects = n + 4, {}
+        for ct in enumerate_ctft(n):
+            for t in (ct, ct.rotate(1), *(ct.flip(i) for i in range(n + 1))):
+                objects.update((id(c), c) for c in t.chords)
+        assert len(objects) <= m * (m - 3) // 2
+        assert len(set(objects.values())) == len(objects)
+
+    @pytest.mark.parametrize(
+        "chords",
+        [
+            ((0, 2), (2, 4), (0, 4), (4, 6)),  # inner triangle: both apexes 0
+            ((0, 2), (2, 4), (2, 4), (4, 6)),  # duplicate: apex 4 on the chord
+        ],
+    )
+    def test_forced_invalid_flip_raises(self, chords):
+        # an invalid triangulation forced past the cached validity has no
+        # quadrilateral at chord 1: flip raises instead of returning one
+        bad = ColoredTriangulation(3, tuple(frozenset(c) for c in chords))
+        assert not bad.is_valid()
+        bad.__dict__["_violations"] = ()
+        with pytest.raises(RuntimeError, match="not one on each side"):
+            bad.flip(1)
+
     @pytest.mark.parametrize(
         "order",
         [
