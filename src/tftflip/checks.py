@@ -560,10 +560,10 @@ SUITES: list[Check] = [
     # n = 12, 32 s at n = 13, under 50 MiB; held below 12, where the
     # whole graph suite is skipped
     Check("distance-formula", "graph", 11, check_distance_formula, min_n=3),
-    # one bit-parallel BFS sweep from all rotation orbits: 0.41 s /
-    # 19 MiB at n = 9, 1.4 s / 24 MiB at n = 10, 4.3 s / 46 MiB at
-    # n = 11, 23 s / 139 MiB at n = 12; test_graph_suite_is_capped_at_n12
-    # holds it at 11
+    # one bit-parallel BFS sweep from all rotation orbits, one integer
+    # per fiber; alone in a process (VmHWM): 0.13 s / 18 MiB at n = 9,
+    # 0.53 s / 22 MiB at n = 10, 1.8-2.2 s / 37 MiB at n = 11, 7.8-9.7 s
+    # / 96 MiB at n = 12; test_graph_suite_is_capped_at_n12 holds it at 11
     Check("diameter-bfs", "graph", 11, check_diameter, min_n=3),
     # one formula call per difference class: 0.51 s at n = 9, 1.6 s at
     # n = 10, 6.9 s at n = 11, 23 s at n = 12, 17 MiB; held at 11 by

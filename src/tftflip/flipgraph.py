@@ -100,6 +100,8 @@ def vertex_id(r: Rep, n: int) -> int:
 
 def vertex_rep(v: int, n: int) -> Rep:
     """The representative with id ``v``: the inverse of ``vertex_id``."""
+    if not 0 <= v < (n + 4) << n:
+        raise ValueError(f"vertex id {v} out of range 0..{((n + 4) << n) - 1}")
     bits, last = divmod(v, n + 4)
     return tuple(bits >> j & 1 for j in range(n - 1, -1, -1)) + (last,)
 
@@ -209,8 +211,13 @@ def bfs_diameter(g: FlipGraph) -> int:
     Rotating e_n is checked to be an automorphism, so one source per
     rotation orbit (e_n = 0) reaches every eccentricity, and every step
     table to be an involution, so a level may pull from neighbours.  All
-    sources run in one sweep: bit k of ``seen[v]`` says that the source
-    with id k*(n+4) has reached v."""
+    sources run in one sweep with one integer per fiber F (ids F*m + e,
+    m = n+4): bit e*2^n + k of ``seen[F]`` says that the source with id
+    k*m has reached id F*m + e.  The rotation makes that layout exact:
+    ``step[F*m + e] = F'*m + (t + e) mod m`` with ``step[F*m] = F'*m +
+    t``, so a color pulls ``seen[F']`` rotated right by t fields of 2^n
+    bits, F' and t read off each table at the fiber heads.  Guarded by
+    ``reference_bfs_diameter``, the per-vertex sweep, in the tests."""
     defect = rotation_defect(g)
     if defect is not None:
         raise RuntimeError(defect)
@@ -219,18 +226,34 @@ def bfs_diameter(g: FlipGraph) -> int:
         if list(map(step.__getitem__, step)) != ids:
             v = next(v for v in ids if step[step[v]] != v)
             raise RuntimeError(f"s_{i} is not an involution at vertex {v}")
-    m = g.n + 4
-    full = (1 << (1 << g.n)) - 1
-    seen = [1 << (v // m) if v % m == 0 else 0 for v in ids]
+    m, width = g.n + 4, 1 << g.n
+    total = m * width
+    by_turn = [(t * width, (1 << t * width) - 1, total - t * width) for t in range(m)]
+    pulls = []
+    for step in g.steps:
+        heads, turns = zip(*(divmod(v, m) for v in step[::m]))
+        # a color that turns no fiber pulls its fields in place
+        turn = tuple(zip(*map(by_turn.__getitem__, turns))) if any(turns) else None
+        pulls.append((heads, turn))
+    full = (1 << total) - 1
+    seen = [1 << f for f in range(width)]
     levels = 0
-    while seen.count(full) < len(seen):
+    while seen.count(full) < width:
         reached = seen
-        for step in g.steps:
-            reached = list(map(or_, reached, map(seen.__getitem__, step)))
+        for heads, turn in pulls:
+            pull = map(seen.__getitem__, heads)
+            reached = map(or_, reached, pull if turn is None else map(_turn, pull, *turn))
+        reached = list(reached)
         if reached == seen:
             raise RuntimeError("flip graph is disconnected: invariant violated")
         seen, levels = reached, levels + 1
     return levels
+
+
+def _turn(x: int, shift: int, mask: int, left: int) -> int:
+    """``x`` rotated right by ``shift`` of its ``shift + left`` bits;
+    ``mask`` keeps the ``shift`` bits that wrap round to the top."""
+    return (x >> shift) | ((x & mask) << left)
 
 
 def formula_scan_diameter(n: int) -> int:

@@ -138,6 +138,17 @@ class ColoredTriangulation:
         for c in self.chords:
             _check_chord(c, m)
 
+    @classmethod
+    def _of_table(cls, n: int, chords: tuple[Chord, ...]) -> "ColoredTriangulation":
+        """A triangulation whose chords are entries of ``_chords(n + 4)``:
+        the table holds only checked chords, so ``__post_init__`` checks
+        none again.  ``None``, the entry of a non-chord, is refused."""
+        if None in chords:
+            raise ValueError(f"no chord in position {chords.index(None)}")
+        ct = object.__new__(cls)
+        ct.__dict__.update(n=n, chords=chords)
+        return ct
+
     @property
     def m(self) -> int:
         """Number of polygon vertices."""
@@ -262,14 +273,12 @@ class ColoredTriangulation:
             return self
         # p and q lie on the two sides of chord i, so they span a chord
         other = _chords(m)[(x + dp) % m][(x + dq) % m]
-        flipped = object.__new__(ColoredTriangulation)  # so __post_init__ checks none again
-        flipped.__dict__.update(n=n, chords=chords[:i] + (other,) + chords[i + 1 :])
-        return flipped
+        return ColoredTriangulation._of_table(n, chords[:i] + (other,) + chords[i + 1 :])
 
     def rotate(self, k: int) -> "ColoredTriangulation":
         """Rotate all vertex labels by k (mod n+4); colors are preserved."""
         m, table = self.m, _chords(self.m)
-        return ColoredTriangulation(
+        return ColoredTriangulation._of_table(
             self.n, tuple(table[(x + k) % m][(y + k) % m] for x, y in self.chords)
         )
 
@@ -295,7 +304,7 @@ def phi_inv(v: PhiVector) -> ColoredTriangulation:
     for b in v.bits:  # 0 grows the fan counterclockwise, 1 clockwise
         k, mm = k + 1 - b, mm + b
         chords.append(table[(v.a - k) % m][(v.a + mm) % m])
-    return ColoredTriangulation(v.n, tuple(chords))  # checks every chord
+    return ColoredTriangulation._of_table(v.n, tuple(chords))
 
 
 def all_phi_vectors(n: int) -> list[PhiVector]:

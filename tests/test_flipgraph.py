@@ -123,6 +123,44 @@ def reference_json(n):
     return json.dumps(doc, indent=1) + "\n"
 
 
+def reference_bfs_diameter(g):
+    """The per-vertex sweep: bit k of ``seen[v]`` says that the source
+    with id k*(n+4) has reached id v, and each level ORs in the sets of
+    every vertex's neighbours, one color at a time."""
+    m = g.n + 4
+    full = (1 << (1 << g.n)) - 1
+    seen = [1 << (v // m) if v % m == 0 else 0 for v in range(len(g.steps[0]))]
+    levels = 0
+    while seen.count(full) < len(seen):
+        reached = seen
+        for step in g.steps:
+            reached = [a | seen[v] for a, v in zip(reached, step)]
+        if reached == seen:
+            raise RuntimeError("flip graph is disconnected: invariant violated")
+        seen, levels = reached, levels + 1
+    return levels
+
+
+def turned(n, color, turn, half=False):
+    """``build_graph(n)`` with color ``color`` rewired: each fiber it moves
+    lands ``turn`` ids further round its image fiber, and its image fiber
+    ``turn`` ids back, so the table stays an involution that commutes with
+    rotating e_n.  ``half`` turns each fiber it fixes by (n+4)/2."""
+    g, m = build_graph(n), n + 4
+    step = g.steps[color]
+    for head in range(0, len(step), m):
+        image = step[head] - step[head] % m
+        if image == head:
+            t = m // 2 if half else 0
+        else:
+            t = turn if head < image else -turn
+        for e in range(m):
+            step[head + e] = image + (step[head + e] + t) % m
+    assert rotation_defect(g) is None
+    assert all(step[step[v]] == v for v in range(len(step)))
+    return g
+
+
 def reference_scan_diameter(n):
     """Largest closed-form distance, one formula call per pair."""
     rs = all_reps(n)
@@ -245,6 +283,13 @@ class TestStepTables:
         assert [vertex_id(r, n) for r in rs] == list(range(len(rs)))
         assert [vertex_rep(v, n) for v in range(len(rs))] == rs
 
+    def test_vertex_rep_refuses_ids_out_of_range(self):
+        assert vertex_rep(0, 3) == (0, 0, 0, 0)
+        assert vertex_rep(55, 3) == (1, 1, 1, 6)
+        for v in (-1, 56, 10**6):
+            with pytest.raises(ValueError, match="out of range 0..55"):
+                vertex_rep(v, 3)
+
     def test_rotation_defect(self):
         g = build_graph(4)
         assert rotation_defect(g) is None
@@ -298,9 +343,28 @@ class TestDiameter:
     def test_closed_form(self):
         assert [diameter(n) for n in (3, 4, 5, 6)] == [14, 20, 27, 35]
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_bfs_agrees(self, n):
         assert bfs_diameter(build_graph(n)) == diameter(n)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_packed_sweep_equals_the_per_vertex_sweep(self, n):
+        g = build_graph(n)
+        assert bfs_diameter(g) == reference_bfs_diameter(g)
+
+    @pytest.mark.parametrize(
+        "n, color, turn, half",
+        [
+            (5, 1, 2, False),  # a middle color with turns 0, +2 and -2
+            (4, 2, 2, True),  # a middle color with turns +2, -2 and 4
+            (4, 0, 2, False),  # s_0 turning every fiber by +-2
+            (3, 2, 3, False),  # turns 0 and +-3
+        ],
+    )
+    def test_packed_sweep_on_rewired_tables(self, n, color, turn, half):
+        g = turned(n, color, turn, half)
+        assert g.steps != build_graph(n).steps
+        assert bfs_diameter(g) == reference_bfs_diameter(g)
 
     def test_formula_scan_agrees(self):
         assert formula_scan_diameter(3) == 14

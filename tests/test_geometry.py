@@ -6,6 +6,7 @@ import pytest
 from tftflip.geometry import (
     ColoredTriangulation,
     PhiVector,
+    all_phi_vectors,
     chords_cross,
     enumerate_ctft,
     is_short,
@@ -67,6 +68,44 @@ class TestChords:
     def test_adjacent_rejected(self):
         with pytest.raises(ValueError):
             ColoredTriangulation(3, (frozenset((0, 1)),))
+
+    @pytest.mark.parametrize(
+        "chord, message",
+        [
+            ((2,), "two endpoints"),
+            ((1, 3, 5), "two endpoints"),
+            ((-1, 2), "out of range"),
+            ((2, 7), "out of range"),
+            ((3, 4), "adjacent"),
+            ((6, 0), "adjacent"),
+        ],
+    )
+    def test_every_bad_chord_kind_rejected(self, chord, message):
+        # the public constructor checks every chord, in any position
+        chords = T0.chords[:2] + (frozenset(chord),) + T0.chords[3:]
+        with pytest.raises(ValueError, match=message):
+            ColoredTriangulation(3, chords)
+
+    def test_table_constructor_refuses_a_non_chord(self):
+        with pytest.raises(ValueError, match="no chord in position 1"):
+            ColoredTriangulation._of_table(3, (T0.chords[0], None) + T0.chords[2:])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_chords_equal_the_checked_construction(self, n):
+        # phi_inv and rotate skip the chord checks: each result equals the
+        # same chords built anew and checked by the public constructor
+        m = n + 4
+        for v in all_phi_vectors(n):
+            ct = phi_inv(v)
+            k = mm = 1
+            chords = [frozenset(((v.a - 1) % m, (v.a + 1) % m))]
+            for b in v.bits:
+                k, mm = k + 1 - b, mm + b
+                chords.append(frozenset(((v.a - k) % m, (v.a + mm) % m)))
+            assert ct == ColoredTriangulation(n, tuple(chords))
+            for t in range(m):
+                rotated = tuple(frozenset((x + t) % m for x in c) for c in chords)
+                assert ct.rotate(t) == ColoredTriangulation(n, rotated)
 
 
 class TestValidate:
