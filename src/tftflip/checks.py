@@ -17,7 +17,7 @@ from collections import defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable
 
 from . import coxeter, flipgraph, geometry
@@ -64,9 +64,14 @@ def check_counting(n):
         return False, f"{len(invalid)} enumerated triangulations invalid"
     if len(set(cts)) != expected:
         return False, "duplicate triangulations enumerated"
+    # key each chord set by one bit per chord {x, y}, x < y; the chords
+    # of a valid triangulation are distinct, so their bits sum exactly
+    m = n + 4
+    rows = enumerate(geometry._chords(m))
+    bit = {c: 1 << (x * m + y) for x, row in rows for y, c in enumerate(row) if x < y and c}
     by_chords = defaultdict(int)
     for ct in cts:
-        by_chords[frozenset(ct.chords)] += 1
+        by_chords[sum(map(bit.__getitem__, ct.chords))] += 1
     wrong = {k: v for k, v in by_chords.items() if v != 2}
     if wrong:
         return False, f"{len(wrong)} uncolored triangulations without 2 colorings"
@@ -218,21 +223,66 @@ def check_generator_lengths(n):
     return True, "identity has length 0, every generator length 1"
 
 
+def _a_n(n):
+    """The word of a_n = s_n s_{n-1} ... s_0, the factor that steps e_n."""
+    return tuple(range(n, -1, -1))
+
+
+def _fibers(n):
+    """The reps of each fiber (the n+4 ids that share e_0..e_{n-1}) in
+    id order, with the word of the fiber's head, its rep with e_n = 0.
+
+    Every rep is its fiber head times a_n^{e_n}, so its word is the
+    head's word followed by e_n copies of a_n's; raises ``RuntimeError``
+    at a rep whose ``rep_to_word`` says otherwise.
+    """
+    m, a_n = n + 4, _a_n(n)
+    rs = reps.all_reps(n)
+    for k in range(0, len(rs), m):
+        fiber = rs[k : k + m]
+        head = reps.rep_to_word(fiber[0])
+        for e, r in enumerate(fiber):
+            if reps.rep_to_word(r) != head + a_n * e:
+                raise RuntimeError(f"rep {r}: word is not its fiber head's word times a_n^{e}")
+        yield fiber, head
+
+
+def _rep_maps(n):
+    """The map of every rep's word, in id order: each fiber head's word
+    is realized once, and each later rep of the fiber is the one before
+    it composed with a_n's map."""
+    a_n = coxeter.word_to_affine(n, _a_n(n))
+    maps = []
+    for fiber, head in _fibers(n):
+        m = coxeter.word_to_affine(n, head)
+        maps.append(m)
+        for _ in fiber[1:]:
+            m = m.compose(a_n)
+            maps.append(m)
+    return maps
+
+
 def check_rep_lengths(n):
-    for r in reps.all_reps(n):
-        word = reps.rep_to_word(r)
-        oracle = coxeter.coxeter_length(coxeter.word_to_affine(n, word))
+    for r, m in zip(reps.all_reps(n), _shared(_rep_maps, n)):
+        oracle = coxeter.coxeter_length(m)
         if oracle != reps.rep_length(r):
             return False, f"rep {r}: formula {reps.rep_length(r)} != oracle {oracle}"
     return True, f"closed-form length matches the hyperplane oracle on all {(n + 4) * 2**n} reps"
 
 
 def check_rep_phi_correspondence(n):
-    # each rep's word walks the identity rep (id 0) to the rep's own id
-    steps = _shared(flipgraph.build_graph, n).steps
+    # each rep's word walks the identity rep (id 0) to the rep's own id:
+    # a_n's powers walk id 0 to the n+4 start ids once, and each fiber
+    # head's word walks all n+4 of them together
+    steps, a_n = _shared(flipgraph.build_graph, n).steps, _a_n(n)
+    starts = [0]
+    for _ in range(n + 3):
+        starts += _walk(steps, a_n, starts[-1:])
+    walked = chain.from_iterable(
+        zip(fiber, _walk(steps, head, starts)) for fiber, head in _fibers(n)
+    )
     seen = set()
-    for u, r in enumerate(reps.all_reps(n)):
-        [by_word] = _walk(steps, reps.rep_to_word(r), [0])
+    for u, (r, by_word) in enumerate(walked):
         closed = reps.rep_to_phi(r, n)
         if by_word != u:
             by_word = reps.rep_to_phi(flipgraph.vertex_rep(by_word, n), n)
@@ -259,10 +309,9 @@ def finding_s0_direction(n):
 
 def finding_self_duality(n):
     top = coxeter.word_to_affine(n, reps.rep_to_word(reps.longest_rep(n)))
-    for r in reps.all_reps(n):
-        lhs = coxeter.word_to_affine(n, reps.rep_to_word(r)).compose(top)
-        rhs = coxeter.word_to_affine(n, reps.rep_to_word(reps.dual(r, n)))
-        if lhs != rhs:
+    maps = dict(zip(reps.all_reps(n), _shared(_rep_maps, n)))
+    for r, m in maps.items():
+        if m.compose(top) != maps.get(reps.dual(r, n)):
             return False, f"r * w_o != dual(r) as maps at r = {r}"
     return True, "r * w_o = dual(r) holds as a group identity for every rep"
 
@@ -543,10 +592,18 @@ SUITES: list[Check] = [
     # pins
     Check("action-vs-geometry", "coxeter", 5, check_action_matches_geometry),
     Check("generator-lengths", "coxeter", 10, check_generator_lengths),
+    # the hyperplane count of every rep's map; _rep_maps realizes each
+    # fiber head's word once and steps by a_n's map: alone, 0.06 s at
+    # n = 7 and 0.33 s / 22 MiB at n = 9; held at 5 as action-vs-geometry
     Check("rep-lengths", "coxeter", 5, check_rep_lengths),
-    # walks one word per rep; n = 11: 2.2 s / 31 MiB
-    Check("rep-phi-correspondence", "coxeter", 11, check_rep_phi_correspondence),
+    # walks a_n's powers from the base once and each fiber head's word
+    # once over all n+4 start ids; alone in a process (VmHWM): 0.6 s /
+    # 32 MiB at n = 11, 1.5 s / 48 MiB at n = 12, 3.1 s / 85 MiB at
+    # n = 13, 8.7 s / 167 MiB at n = 14
+    Check("rep-phi-correspondence", "coxeter", 13, check_rep_phi_correspondence),
     Check("s0-direction", "coxeter", 6, finding_s0_direction, finding=True),
+    # reads rep-lengths' maps: alone, 0.06 s at n = 7 and 0.26 s / 22 MiB
+    # at n = 9; held at 4 as action-vs-geometry
     Check("self-duality", "coxeter", 4, finding_self_duality, finding=True),
     Check("order-closure", "lattice", 4, check_order_closure),
     Check("meet-join", "lattice", 4, check_meet_join),
@@ -571,7 +628,9 @@ SUITES: list[Check] = [
     Check("diameter-scan", "graph", 11, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),
     Check("bipartition", "graph", 11, check_bipartition, min_n=3),  # n = 11: 0.20 s / 21 MiB
-    # one reduced word per long rep: 0.06 s at n = 6, 0.38 s at n = 8
+    # one map and one reduced word per long rep, each fiber's first long
+    # rep realized from letters and the later ones by one composition
+    # with a_n's map: alone, 0.19 s at n = 7 and 1.2 s / 20 MiB at n = 9
     Check("shortest-reps", "graph", 5, check_shortest_representatives, min_n=3),
     Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),  # n = 11: 0.01 s
     Check("rotation-automorphism", "graph", 5, check_rotation_automorphism),
@@ -594,8 +653,9 @@ def run_suite(n: int, suite: str = "all"):
     ``flipgraph.MAX_GRAPH_N``.
 
     The checks of one suite share per-n inputs within one call (the
-    triangulations, step tables, ``leq`` bitsets, meets and joins), built
-    on first use and dropped at the next suite; ``Check.run`` shares none.
+    triangulations, step tables, the maps of the reps' words, ``leq``
+    bitsets, meets and joins), built on first use and dropped at the
+    next suite; ``Check.run`` shares none.
     """
     inputs, inputs_suite = {}, None
     for check in SUITES:

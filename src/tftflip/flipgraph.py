@@ -304,20 +304,29 @@ def shortest_representatives(n: int) -> list[tuple[Rep, tuple[int, ...]]]:
     A longer r is shortened by the stabilizer element a_n^{n+4}, where
     a_n^{-1} = s_0 s_1 ... s_n: the e_n copies of a_n that end r cancel
     in r a_n^{-(n+4)}, whose short word is that of (e_0, ..., e_{n-1}, 0)
-    followed by (s_0 ... s_n)^{n+4-e_n}.  ``coxeter.reduced_word``
-    re-reduces it.  The resulting word length equals the graph distance
-    from the base vertex (oracle-checked in the tests).
+    followed by (s_0 ... s_n)^{n+4-e_n}.  The long reps of a fiber are
+    its last ones, so only the first is realized from its letters; each
+    later one is the one before it times a_n.  ``coxeter.reduced_word``
+    re-reduces each map.  The resulting word length equals the graph
+    distance from the base vertex (oracle-checked in the tests).
     """
     if n < 3:
         raise ValueError("shortest representatives require n >= 3")
     cutoff = diameter(n)
+    a_n = word_to_affine(n, tuple(range(n, -1, -1)))
     out = []
+    shortened = None  # the map of the previous rep, while it was long
     for r in reps.all_reps(n):
-        word = reps.rep_to_word(r)
-        if reps.rep_length(r) > cutoff:
+        if reps.rep_length(r) <= cutoff:  # as every fiber's head is
+            shortened = None
+            out.append((r, reps.rep_to_word(r)))
+            continue
+        if shortened is None:
             word = reps.rep_to_word(r[:n] + (0,)) + tuple(range(n + 1)) * (n + 4 - r[n])
-            word = reduced_word(word_to_affine(n, word))
-        out.append((r, word))
+            shortened = word_to_affine(n, word)
+        else:
+            shortened = shortened.compose(a_n)
+        out.append((r, reduced_word(shortened)))
     return out
 
 

@@ -393,6 +393,44 @@ def test_rep_phi_correspondence_catches_a_word_left_at_the_base(monkeypatch):
     )
 
 
+# -- the word checks realize each fiber head's word once
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rep_maps_equal_the_maps_of_the_whole_words(n):
+    assert checks._rep_maps(n) == [
+        coxeter.word_to_affine(n, reps.rep_to_word(r)) for r in reps.all_reps(n)
+    ]
+
+
+@pytest.mark.parametrize("name", ["rep-lengths", "self-duality"])
+def test_word_checks_realize_one_word_per_fiber(monkeypatch, name):
+    # one word per fiber of n = 5 (2^5 = 32), a_n's and self-duality's
+    # top; one per rep would be 288
+    n = 5
+    check = next(c for c in checks.SUITES if c.name == name)
+    calls = counted(monkeypatch, coxeter, "word_to_affine")
+    assert check.run(n)[0]
+    assert 2**n < len(calls) <= 2**n + 2
+
+
+def test_one_wrong_word_inside_a_fiber_fails_every_word_check(monkeypatch):
+    # (1, 0, 1, 2) has e_n > 0 and bits != 0, so its fiber head's word
+    # and a_n's are right: only the check at every rep catches it
+    rep_to_word = reps.rep_to_word
+
+    def dropped(r):
+        word = rep_to_word(r)
+        return word[1:] if r == (1, 0, 1, 2) else word
+
+    monkeypatch.setattr(reps, "rep_to_word", dropped)
+    statuses = {name: st for name, st, _ in checks.run_suite(N)}
+    assert {name for name, st in statuses.items() if "FAIL" in st} == {
+        "rep-lengths", "rep-phi-correspondence", "self-duality", "shortest-reps"
+    }
+    assert statuses["self-duality"] == "finding-FAIL"
+
+
 # -- run_suite shares per-n inputs within one suite of one call
 
 

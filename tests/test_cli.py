@@ -260,6 +260,15 @@ class TestVerify:
         )
         assert child_peak(body) < 40 * 1024
 
+    def test_n11_counting_keys_each_chord_set_by_an_int(self):
+        # a frozenset of chords per triangulation peaked at 40 MiB; one
+        # int bit per chord leaves the enumeration's 36 MiB
+        body = (
+            "from tftflip.checks import check_counting\n"
+            "code = 0 if check_counting(11)[0] else 1\n"
+        )
+        assert child_peak(body) < 38 * 1024
+
     def test_geometry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "-n", "2", "--suite", "geometry")
         assert code == 0
