@@ -569,17 +569,17 @@ def check_rotation_automorphism(n):
 # -- registry -------------------------------------------------------
 
 SUITES: list[Check] = [
-    # the triangulations share the chords of one table; alone, at n = 12
-    # and 13 (2 vCPU, Python 3.11): counting 4.4 s / 62 MiB and
-    # 8.5 s / 115 MiB; short-chords 1.1 s / 49 MiB and 2.5 s / 87 MiB;
-    # phi-roundtrip 1.5 s / 49 MiB and 3.3 s / 87 MiB.  n = 14 is held
-    # back by enumerate_ctft alone (170 MiB)
+    # the triangulations share the chords of one table; alone in a
+    # process (VmHWM, 2 vCPU, Python 3.11), at n = 12 and 13: counting
+    # 3.4 s / 59 MiB and 10 s / 109 MiB; short-chords 1.0 s / 59 MiB and
+    # 2.7 s / 109 MiB; phi-roundtrip 1.0 s / 59 MiB and 3.4 s / 109 MiB.
+    # n = 14 is held back by enumerate_ctft alone (170 MiB)
     Check("counting", "geometry", 13, check_counting),
     Check("short-chords", "geometry", 13, check_short_chords),
     Check("phi-roundtrip", "geometry", 13, check_phi_roundtrip),
     # one flip per validated triangulation and colour, read off the dual
-    # path: 4.4 s / 31 MiB at n = 11, 7.2 s / 49 MiB at n = 12,
-    # 17 s / 87 MiB at n = 13; held at 13 as counting
+    # path; alone: 4.7 s / 36 MiB at n = 11, 8.7 s / 59 MiB at n = 12,
+    # 24 s / 109 MiB at n = 13; held at 13 as counting
     Check("flip-involution", "geometry", 13, check_flip_involution),
     # words composed from the flip graph's step tables: 2.6 s / 26 MiB
     # at n = 12, 6.7 s / 35 MiB at n = 13, 15 s / 57 MiB at n = 14, the

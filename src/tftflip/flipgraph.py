@@ -68,7 +68,8 @@ def build_graph(n: int) -> FlipGraph:
     fiber: the n+4 ids sharing their first n exponents, in ``product``
     order.  No s_i reads e_n and s_n steps it by +-1 modulo n+4, so s_i
     maps a fiber onto one fiber turned by that vertex's image e_n, and
-    the fiber's ids follow by rotation.  Guarded by the per-vertex sweep
+    the fiber's ids follow as one slice of the image fiber, or two when
+    it is turned.  Guarded by the per-vertex sweep
     ``TestStepTables::test_tables_equal_the_generator_sweep`` and by
     ``action-vs-geometry`` and ``rotation-automorphism``.  Bounded by
     ``MAX_GRAPH_N`` to fit in memory.
@@ -84,7 +85,7 @@ def build_graph(n: int) -> FlipGraph:
         for bits in fibers:
             s = reps._apply_generator(i, bits + (0,), n)
             v, turn = fibers[s[:n]], s[n]
-            step += ids[v + turn : v + m] + ids[v : v + turn]
+            step += ids[v + turn : v + m] + ids[v : v + turn] if turn else ids[v : v + m]
         steps.append(step)
     return FlipGraph(n, steps)
 
@@ -144,15 +145,16 @@ def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
 # -- metrics --------------------------------------------------------
 
 
-def bfs_distances(g: FlipGraph, source: int) -> list[int]:
-    """Distances from id ``source`` to every id, by breadth-first
-    search over the step tables."""
+def _levels(g: FlipGraph, source: int, dist: list[int]) -> Iterator[int]:
+    """Breadth-first search over the step tables from id ``source``:
+    fills ``dist`` (-1 where unreached) one level at a time and yields
+    each level d once every id at distance d is set, level 0 first."""
     steps = g.steps
-    dist = [-1] * len(steps[0])  # a list indexes faster than array("h")
     dist[source] = 0
     frontier = [source]
     d = 0
     while frontier:
+        yield d
         d += 1
         reached = []
         for step in steps:
@@ -162,14 +164,38 @@ def bfs_distances(g: FlipGraph, source: int) -> list[int]:
                     dist[v] = d
                     reached.append(v)
         frontier = reached
+
+
+def bfs_distances(g: FlipGraph, source: int) -> list[int]:
+    """Distances from id ``source`` to every id: ``_levels`` run to the
+    end.  Raises ``RuntimeError`` if some id stays unreached, so every
+    caller also checks that the graph is connected."""
+    dist = [-1] * len(g.steps[0])  # a list indexes faster than array("h")
+    for _ in _levels(g, source, dist):
+        pass
     if min(dist) < 0:
         raise RuntimeError("flip graph is disconnected: invariant violated")
     return dist
 
 
 def bfs_distance(n: int, r: Rep, s: Rep) -> int:
-    """Flip distance from ``r`` to ``s`` by one breadth-first search."""
-    return bfs_distances(build_graph(n), vertex_id(r, n))[vertex_id(s, n)]
+    """Flip distance from ``r`` to ``s`` by breadth-first search from
+    ``r``, stopped at the first level that reaches ``s``.
+
+    A target that the search cannot reach raises the disconnection
+    ``RuntimeError``, so the answer is always exact.  The guard is
+    narrower than ``bfs_distances``': a disconnection that leaves ``r``
+    and ``s`` in one component goes unnoticed here, and the
+    ``stabilizer``, ``distance-formula``, ``diameter-bfs`` and
+    ``shortest-reps`` checks of ``tft verify`` still report it.
+    """
+    g = build_graph(n)
+    source, target = vertex_id(r, n), vertex_id(s, n)
+    dist = [-1] * len(g.steps[0])
+    for _ in _levels(g, source, dist):
+        if dist[target] >= 0:
+            return dist[target]
+    raise RuntimeError("flip graph is disconnected: invariant violated")
 
 
 def distance_formula(r: Rep, s: Rep, n: int) -> int:

@@ -374,6 +374,20 @@ def test_diameter_bfs_catches_a_disconnected_table(monkeypatch):
     assert row("diameter-bfs") == ("FAIL", DISCONNECTED)
 
 
+def test_a_point_query_leaves_a_split_away_from_its_pair_to_verify(monkeypatch, capsys):
+    # bfs_distance stops at its target, so it does not see that the
+    # frozen tables split the graph elsewhere: its answer (s_1, then
+    # s_2) is still exact, and verify's graph rows catch the split
+    broken_tables(monkeypatch, freeze_ends)
+    argv = ["distance", "-n", str(N), "--from", "1,0,0,0", "--to", "0,0,1,0"]
+    assert main(argv + ["--method", "bfs"]) == 0
+    assert capsys.readouterr() == ("2\n", "")
+    assert main(["verify", "-n", str(N)]) == 1
+    rows = verify_rows(capsys.readouterr().out)
+    for name in ("stabilizer", "distance-formula", "diameter-bfs", "shortest-reps"):
+        assert rows[name] == ["FAIL", DISCONNECTED]
+
+
 def test_stabilizer_catches_a_short_orbit(monkeypatch):
     broken_tables(monkeypatch, freeze_ends)
     assert row("stabilizer") == ("FAIL", DISCONNECTED)

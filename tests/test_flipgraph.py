@@ -310,6 +310,61 @@ class TestDistance:
         assert distance_formula(ident, ident, 3) == 0
         assert distance_formula(ident, (1, 0, 0, 0), 3) == 1
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_point_query_equals_the_full_search(self, n):
+        # every pair up to n = 4; above, seeded pairs, each source also
+        # paired with itself and with its neighbours one flip away
+        g, rs = build_graph(n), all_reps(n)
+        if n <= 4:
+            pairs = {r: rs for r in rs}
+        else:
+            rng = random.Random(n)
+            pairs = {
+                r: [rng.choice(rs), r] + [rs[step[vertex_id(r, n)]] for step in g.steps]
+                for r in rng.sample(rs, 6)
+            }
+        for r, targets in pairs.items():
+            dist = bfs_distances(g, vertex_id(r, n))
+            for s in targets:
+                assert bfs_distance(n, r, s) == dist[vertex_id(s, n)]
+
+    def test_point_query_stops_at_its_target(self, monkeypatch):
+        # a pair one flip apart reads one level of the tables; the full
+        # search reads all (n+1)(n+4)2^n = 4480 entries at n = 6
+        n, reads = 6, []
+
+        class Counted:
+            def __init__(self, step):
+                self.step = step
+
+            def __len__(self):
+                return len(self.step)
+
+            def __getitem__(self, v):
+                reads.append(v)
+                return self.step[v]
+
+        def counted_graph(n):
+            g = build_graph(n)
+            return g._replace(steps=[Counted(step) for step in g.steps])
+
+        monkeypatch.setattr("tftflip.flipgraph.build_graph", counted_graph)
+        ident = identity_rep(n)
+        assert bfs_distance(n, ident, (1,) + ident[1:]) == 1
+        assert 0 < len(reads) <= 2 * (n + 1) * (n + 1)
+
+    def test_point_query_raises_on_an_unreachable_target(self, monkeypatch):
+        def split_graph(n):
+            g = build_graph(n)
+            g.steps[0] = g.steps[1]  # no generator changes e_0 any more
+            return g
+
+        monkeypatch.setattr("tftflip.flipgraph.build_graph", split_graph)
+        assert bfs_distance(3, (0, 0, 0, 0), (0, 0, 1, 6)) == 1  # by s_3
+        with pytest.raises(RuntimeError) as raised:
+            bfs_distance(3, (0, 0, 0, 0), (1, 0, 0, 0))
+        assert str(raised.value) == "flip graph is disconnected: invariant violated"
+
     def test_symmetry(self):
         rs = all_reps(3)
         rng = random.Random(7)
