@@ -1,9 +1,10 @@
-"""The coset representatives as a graded modular lattice.
+"""The coset representatives as a graded distributive lattice.
 
 Each triangulation corresponds to a coset of the star's stabilizer,
 with a distinguished representative a_0^e0 a_1^e1 ... a_n^en encoded
 as the exponent tuple.  Under dominance of suffix sums these form a
-self-dual modular lattice, and the length generating function factors
+self-dual distributive lattice (the ``meet-join`` check of ``tft
+verify`` confirms it), and the length generating function factors
 as (1+q)(1+q^2)...(1+q^n) (1 + q^{n+1} + ... + q^{(n+3)(n+1)}).
 """
 

@@ -5,9 +5,9 @@ triangle has three diagonal sides, together with a proper chord
 coloring by 0..n.  An affine Weyl group of type C acts on them by
 colored flips; the orbit structure turns the colored flip graph into a
 Schreier graph whose vertices are exponent vectors, ordered by
-dominance into a modular lattice.  Distances and the diameter have
-exact closed forms, each cross-checked against brute-force oracles in
-the test suite.
+dominance into a distributive lattice (the ``meet-join`` check).
+Distances and the diameter have exact closed forms, each cross-checked
+against brute-force oracles in the test suite.
 """
 
 from .geometry import (

@@ -319,19 +319,39 @@ def finding_self_duality(n):
 # -- lattice --------------------------------------------------------
 
 
-def _order_bitsets(n):
-    """Brute-force ``leq`` over all pairs of ``rs = all_reps(n)``, as
-    int bitsets over indices: bit j of down[i] is leq(rs[j], rs[i]),
-    bit j of up[i] is leq(rs[i], rs[j])."""
-    rs = reps.all_reps(n)
-    down = [0] * len(rs)
-    up = [0] * len(rs)
-    for i, r in enumerate(rs):
-        for j, s in enumerate(rs):
-            if reps.leq(r, s):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return down, up
+def _ideals(n):
+    """Birkhoff's representation of the interval, from the step tables
+    alone: bit k of ``ideals[v]`` says that the k-th join-irreducible (a
+    vertex with one lower cover) lies below id v.  The Hasse edges are
+    the table edges less loops and wraps (s_n moving e_n between 0 and
+    n+3), graded by distance from id 0.  Raises ``RuntimeError`` when a
+    Hasse edge stays within one level, when the join-irreducibles are
+    not as many as the top length, or when two ids (as unreached ones)
+    share an ideal."""
+    m, rows = n + 4, enumerate(zip(*_shared(flipgraph.build_graph, n).steps))
+    hasse = [{v for v in row if v != u and abs(u % m - v % m) != m - 1} for u, row in rows]
+    level, order = {0: 0}, [0]
+    for u in order:  # breadth-first, so in level order
+        for v in hasse[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                order.append(v)
+            elif level[v] == level[u]:
+                raise RuntimeError(f"Hasse edge {u}-{v} joins levels {level[u]} and {level[v]}")
+    ideals, k = [0] * len(hasse), 0
+    for v in order[1:]:  # an ideal is the union of its lower covers' ideals
+        lower = [u for u in hasse[v] if level[u] < level[v]]
+        for u in lower:
+            ideals[v] |= ideals[u]
+        if len(lower) == 1:
+            ideals[v] |= 1 << k
+            k += 1
+    top = 3 * (n + 1) * (n + 2) // 2
+    if k != top:
+        raise RuntimeError(f"{k} join-irreducibles, not the top length {top}")
+    if len(set(ideals)) != len(ideals):
+        raise RuntimeError("two vertices share an ideal of join-irreducibles")
+    return ideals
 
 
 def _bounds(n):
@@ -344,46 +364,23 @@ def _bounds(n):
     )
 
 
-def _closure_leq(n):
-    """Reflexive-transitive closure of the cover relation, as int
-    bitsets: bit j of reach[i] says rs[j] is reachable from rs[i]."""
-    rs = reps.all_reps(n)
-    reach = [0] * len(rs)
-    # covers add one to the length, so longest first finds every
-    # reach[j] above i already computed
-    for i in sorted(range(len(rs)), key=lambda i: -reps.rep_length(rs[i])):
-        reach[i] = 1 << i
-        for s in reps.covers(rs[i], n):
-            reach[i] |= reach[flipgraph.vertex_id(s, n)]
-    return rs, reach
-
-
 def check_order_closure(n):
-    rs, reach = _closure_leq(n)
-    _, up = _shared(_order_bitsets, n)
-    for i, r in enumerate(rs):
-        differ = up[i] ^ reach[i]
-        if differ:
-            j = (differ & -differ).bit_length() - 1
-            return False, f"dominance vs cover closure disagree at {r}, {rs[j]}"
+    rs = reps.all_reps(n)
+    for (r, a), (s, b) in product(zip(rs, _shared(_ideals, n)), repeat=2):
+        if reps.leq(r, s) != (a & ~b == 0):
+            return False, f"dominance vs ideal inclusion disagree at {r}, {s}"
     return True, "dominance order equals the transitive closure of covers"
 
 
 def check_meet_join(n):
-    rs = reps.all_reps(n)
-    index = {r: i for i, r in enumerate(rs)}
-    down, up = _shared(_order_bitsets, n)
-    pairs = product(enumerate(rs), repeat=2)
-    for ((a, r), (b, s)), meet, join in zip(pairs, *_shared(_bounds, n)):
-        # lowers: every t with t <= r and t <= s; the meet must be one
-        # of them and lie above all of them (uppers mirror it)
-        lowers = down[a] & down[b]
-        m = index.get(meet)
-        if m is None or not (lowers >> m & 1 and lowers & ~down[m] == 0):
+    # under Birkhoff's representation meet and join are the intersection
+    # and the union of ideals, so this also shows the interval distributive
+    ideal = dict(zip(reps.all_reps(n), _shared(_ideals, n)))
+    pairs = product(ideal.items(), repeat=2)
+    for ((r, a), (s, b)), meet, join in zip(pairs, *_shared(_bounds, n)):
+        if ideal.get(meet) != a & b:
             return False, f"meet formula is not the glb at {r}, {s}"
-        uppers = up[a] & up[b]
-        j = index.get(join)
-        if j is None or not (uppers >> j & 1 and uppers & ~up[j] == 0):
+        if ideal.get(join) != a | b:
             return False, f"join formula is not the lub at {r}, {s}"
     return True, "meet/join formulas equal brute-force glb/lub on all pairs"
 
@@ -407,12 +404,11 @@ def check_duality(n):
         if reps.rep_length(d) != top_len - reps.rep_length(r):
             return False, f"dual length complement fails at {r}"
     dual = [flipgraph.vertex_id(reps.dual(r, n), n) for r in rs]
-    _, up = _shared(_order_bitsets, n)
-    for i, r in enumerate(rs):
-        for j, s in enumerate(rs):
-            # leq(r, s) against leq(dual(s), dual(r))
-            if up[i] >> j & 1 != up[dual[j]] >> dual[i] & 1:
-                return False, f"dual does not reverse order at {r}, {s}"
+    ideals = _shared(_ideals, n)
+    for (i, r), (j, s) in product(enumerate(rs), repeat=2):
+        # I(r) within I(s) against I(dual(s)) within I(dual(r))
+        if (ideals[i] & ~ideals[j] == 0) != (ideals[dual[j]] & ~ideals[dual[i]] == 0):
+            return False, f"dual does not reverse order at {r}, {s}"
     return True, "dual is an order-reversing, length-complementing involution"
 
 
@@ -490,20 +486,20 @@ def check_diameter_scan(n):
 
 
 def check_antipodes(n):
+    # each antipode lies at the diameter and is its move of the triangulation
     target = flipgraph.diameter(n)
-    kinds = ["color_reversal"] + (["rotation"] if n % 2 == 0 else [])
+    moves = {"color_reversal": lambda ct: ct.reverse_colors()}
+    if n % 2 == 0:
+        moves["rotation"] = lambda ct: ct.rotate((n + 4) // 2)
     for r in reps.all_reps(n):
-        antipodes = {kind: flipgraph.antipode(r, n, kind) for kind in kinds}
-        for kind, a in antipodes.items():
+        ct = geometry.phi_inv(reps.rep_to_phi(r, n))
+        for kind, move in moves.items():
+            a = flipgraph.antipode(r, n, kind)
             if flipgraph.distance_formula(r, a, n) != target:
                 return False, f"{kind} antipode of {r} is not at distance {target}"
-        # the color-reversal antipode must agree with geometric recoloring
-        geometric = reps.phi_to_rep(
-            geometry.phi_inv(reps.rep_to_phi(r, n)).reverse_colors().phi()
-        )
-        if geometric != antipodes["color_reversal"]:
-            return False, f"color reversal disagrees with geometry at {r}"
-    return True, f"antipodes ({', '.join(kinds)}) all at distance {target}"
+            if a != reps.phi_to_rep(move(ct).phi()):
+                return False, f"{kind} antipode of {r} disagrees with geometry"
+    return True, f"antipodes ({', '.join(moves)}) all at distance {target}"
 
 
 def check_bipartition(n):
@@ -653,10 +649,13 @@ def run_suite(n: int, suite: str = "all"):
     ``flipgraph.MAX_GRAPH_N``.
 
     The checks of one suite share per-n inputs within one call (the
-    triangulations, step tables, the maps of the reps' words, ``leq``
-    bitsets, meets and joins), built on first use and dropped at the
-    next suite; ``Check.run`` shares none.
+    triangulations, step tables, the maps of the reps' words, the ideals
+    of join-irreducibles, meets and joins), built on first use and
+    dropped at the next suite; ``Check.run`` shares none.  An unknown
+    ``suite`` raises ``ValueError``.
     """
+    if suite != "all" and suite not in suite_names():
+        raise ValueError(f"unknown suite {suite!r}")
     inputs, inputs_suite = {}, None
     for check in SUITES:
         if suite != "all" and check.suite != suite:

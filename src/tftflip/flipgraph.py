@@ -101,6 +101,8 @@ def vertex_id(r: Rep, n: int) -> int:
 
 def vertex_rep(v: int, n: int) -> Rep:
     """The representative with id ``v``: the inverse of ``vertex_id``."""
+    if n < 2:
+        raise ValueError("representatives require n >= 2")
     if not 0 <= v < (n + 4) << n:
         raise ValueError(f"vertex id {v} out of range 0..{((n + 4) << n) - 1}")
     bits, last = divmod(v, n + 4)
@@ -134,12 +136,9 @@ def rotation_defect(g: FlipGraph) -> str | None:
 def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
     """The non-Hasse edges: (v, v a_{n-1} a_n^{n+3}) over all v built
     from the first n-1 exponents."""
-    out = set()
-    for bits in product((0, 1), repeat=n - 1):
-        u = bits + (0, 0)
-        v = bits + (1, n + 3)
-        out.add((u, v))
-    return out
+    if n < 2:
+        raise ValueError("representatives require n >= 2")
+    return {(bits + (0, 0), bits + (1, n + 3)) for bits in product((0, 1), repeat=n - 1)}
 
 
 # -- metrics --------------------------------------------------------

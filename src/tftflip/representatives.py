@@ -12,7 +12,8 @@ generator n toggles e_{n-1} while stepping e_n by +-1 modulo n+4 (the
 modular wrap re-enters through the stabilizer).
 
 Under dominance of suffix sums the representatives form a graded
-modular lattice: a self-dual lower interval of the left weak order.
+distributive lattice (the ``meet-join`` check of ``tft verify``): a
+self-dual lower interval of the left weak order.
 """
 
 from __future__ import annotations

@@ -83,13 +83,24 @@ ATOM = (1, 0, 0, 0)
     "check, pair",
     [
         (checks.check_order_closure, (TOP, ATOM)),
-        # the first pair in order whose dual pair is the wrong one
-        (checks.check_duality, (reps.dual(ATOM, N), BOTTOM)),
+        # the first pair in order that the swapped dual fails to reverse
+        (checks.check_duality, ((0, 0, 1, 0), (0, 0, 0, 1))),
     ],
 )
 def test_order_checks_catch_a_wrong_order(monkeypatch, check, pair):
-    leq = reps.leq
+    # leq puts TOP below ATOM, and dual swaps the images of two
+    # incomparable reps of length 3 (and so of their duals), which keeps
+    # it an involution that complements length; order-closure reads leq
+    # and duality reads dual
+    leq, dual = reps.leq, reps.dual
+    swap = {(1, 1, 0, 0): (0, 0, 1, 0), (0, 0, 1, 0): (1, 1, 0, 0)}
+
+    def swapped(r, n):
+        d = dual(swap.get(r, r), n)
+        return swap.get(d, d)
+
     monkeypatch.setattr(reps, "leq", lambda r, s: leq(r, s) or (r, s) == (TOP, ATOM))
+    monkeypatch.setattr(reps, "dual", swapped)
     ok, detail = check(N)
     assert not ok
     assert detail.endswith(f"at {pair[0]}, {pair[1]}")
@@ -398,6 +409,38 @@ def test_stabilizer_catches_a_generator_moving_the_star(monkeypatch):
     assert row("stabilizer") == ("FAIL", "generators not fixing base: ['1']")
 
 
+def swap_two_s1_edges(steps, n):
+    # s_1 joins ids 14-28 and 15-29; join 14-29 and 15-28 instead, which
+    # keeps the table an involution
+    s1 = steps[1]
+    assert (s1[14], s1[15]) == (28, 29)
+    s1[14], s1[29], s1[15], s1[28] = 29, 14, 28, 15
+
+
+def join_two_vertices_of_one_level(steps, n):
+    # s_1 fixes (0, 0, 1; 0) and (1, 1, 0; 0), ids 7 and 42, both of length 3
+    steps[1][7], steps[1][42] = 42, 7
+
+
+@pytest.mark.parametrize(
+    "breakage, error",
+    [
+        (swap_two_s1_edges, "31 join-irreducibles, not the top length 30"),
+        (join_two_vertices_of_one_level, "Hasse edge 42-7 joins levels 3 and 3"),
+    ],
+)
+def test_lattice_rows_read_the_step_tables(monkeypatch, breakage, error):
+    broken_tables(monkeypatch, breakage)
+    for name in ("order-closure", "meet-join", "duality"):
+        assert row(name) == ("FAIL", error)
+
+
+def test_each_ideal_has_as_many_members_as_its_rep_has_length():
+    for n in range(2, 6):
+        ideals = checks._ideals(n)
+        assert [i.bit_count() for i in ideals] == list(map(reps.rep_length, reps.all_reps(n)))
+
+
 def test_rep_phi_correspondence_catches_a_word_left_at_the_base(monkeypatch):
     # the word of (0, 0, 0, 1) is s_3 s_2 s_1 s_0, and with both ends
     # frozen it leaves the identity rep where it is
@@ -477,13 +520,19 @@ def test_one_lattice_run_orders_and_bounds_each_pair_once(monkeypatch):
 
 
 def test_one_run_builds_the_step_tables_once_per_suite(monkeypatch):
-    # once for the coxeter suite and once for the graph suite, which
-    # bfs_diameter reads too
+    # once for each suite that reads them: coxeter, lattice (whose
+    # table-reading rows are capped at 4) and graph, which bfs_diameter
+    # reads too
     builds = counted(monkeypatch, flipgraph, "build_graph")
-    for n in (3, 5, 6):
+    for n, suites in ((3, 3), (5, 2), (6, 2)):
         builds.clear()
         assert all(st != "FAIL" for _, st, _ in checks.run_suite(n))
-        assert builds == [(n,), (n,)]
+        assert builds == [(n,)] * suites
+
+
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'lattices'"):
+        list(checks.run_suite(N, "lattices"))
 
 
 def test_a_check_called_directly_builds_its_own_inputs(monkeypatch):
@@ -577,6 +626,21 @@ def test_antipodes_catches_a_wrong_antipode(monkeypatch):
     monkeypatch.setattr(flipgraph, "antipode", patched)
     assert row("antipodes") == (
         "FAIL", f"color_reversal antipode of {BOTTOM} is not at distance 14"
+    )
+
+
+def test_antipodes_holds_the_rotation_antipode_to_geometry(monkeypatch):
+    # at n = 4 the color-reversal antipode of the bottom also lies at the
+    # diameter, so only the rotated triangulation tells it apart
+    antipode, bottom = flipgraph.antipode, reps.identity_rep(4)
+
+    def patched(r, n, kind):
+        kind = "color_reversal" if (r, kind) == (bottom, "rotation") else kind
+        return antipode(r, n, kind)
+
+    monkeypatch.setattr(flipgraph, "antipode", patched)
+    assert row("antipodes", 4) == (
+        "FAIL", f"rotation antipode of {bottom} disagrees with geometry"
     )
 
 

@@ -290,6 +290,12 @@ class TestStepTables:
             with pytest.raises(ValueError, match="out of range 0..55"):
                 vertex_rep(v, 3)
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_vertex_helpers_refuse_n_below_2(self, n):
+        for call in (lambda: vertex_rep(0, n), lambda: wrap_edges(n)):
+            with pytest.raises(ValueError, match="representatives require n >= 2"):
+                call()
+
     def test_rotation_defect(self):
         g = build_graph(4)
         assert rotation_defect(g) is None
