@@ -538,9 +538,10 @@ def check_lower_bound(n):
     rng = random.Random(2)
     for u in random.Random(1).sample(range(count), 15):
         r = flipgraph.vertex_rep(u, n)
+        length = reps.rep_length(r)
         for _ in range(50):
             s = flipgraph.vertex_rep(rng.randrange(count), n)
-            gap = abs(reps.rep_length(s) - reps.rep_length(r))
+            gap = abs(reps.rep_length(s) - length)
             bound = min(gap, wrap_len + 1 - gap)
             if flipgraph.distance_formula(r, s, n) < bound:
                 return False, f"length lower bound violated at {r}, {s}"
@@ -642,8 +643,10 @@ def run_suite(n: int, suite: str = "all"):
 
     Yields ``(name, status, detail)`` rows with status 'ok', 'FAIL',
     'finding' or 'skip'.  A check is skipped above its n-cap.  An
-    oracle's ``RuntimeError`` is a FAIL row (finding-FAIL for a
-    finding) with the exception text as detail; the next check runs.
+    oracle's ``RuntimeError``, and a ``ValueError`` that the code under
+    test raises inside the cap (a closed form that leaves the interval),
+    is a FAIL row (finding-FAIL for a finding) with the exception text
+    as detail; the next check runs.
     ``Check.run(n)`` runs one check above its cap, except that a check
     which builds the flip graph raises ``ValueError`` above
     ``flipgraph.MAX_GRAPH_N``.
@@ -671,7 +674,7 @@ def run_suite(n: int, suite: str = "all"):
         token = _suite_inputs.set(inputs)
         try:
             ok, detail = check.run(n)
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             ok, detail = False, str(exc)
         finally:
             _suite_inputs.reset(token)

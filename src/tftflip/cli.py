@@ -1,8 +1,11 @@
 """Command-line front-end.
 
 Subcommands: count, graph, distance, diameter, antipode, verify,
-render.  Exit status is 0 on success, 1 on a verification failure and
-2 on usage and I/O errors.
+render, one row each of ``_SUBCOMMANDS``.  ``main`` builds the parser
+anew on each call, with only the subparser that its first argument
+names; help, no argument or an unknown name get all seven, so every
+text is the same either way.  Exit status is 0 on success, 1 on a
+verification failure and 2 on usage and I/O errors.
 """
 
 from __future__ import annotations
@@ -115,52 +118,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"tft: error: {message}\n")
 
 
-def _subcommand(sub, name, func, min_n, help):
-    """Add a subcommand whose required ``-n`` is at least ``min_n``;
-    ``main`` enforces the floor that the help text states."""
-    p = sub.add_parser(name, help=help)
-    p.add_argument("-n", type=int, required=True, help=f"size parameter, n >= {min_n}")
-    p.set_defaults(func=func, min_n=min_n)
-    return p
+# One row per subcommand: name, handler, the floor of its required -n,
+# help, and its other arguments as (flags, keywords) pairs
+_SUBCOMMANDS = (
+    ("count", cmd_count, 1, "count triangulations", ()),
+    ("graph", cmd_graph, 2, "export the flip graph", (
+        (("--format",), {"choices": ("dot", "json"), "default": "json"}),
+        (("-o", "--output"), {"required": True}),
+    )),
+    ("distance", cmd_distance, 2, "flip distance between representatives", (
+        (("--from",), {"required": True, "metavar": "REP"}),
+        (("--to",), {"required": True, "metavar": "REP"}),
+        (("--method",), {"choices": ("formula", "bfs", "both"), "default": "both"}),
+    )),
+    ("diameter", cmd_diameter, 3, "diameter of the flip graph", (
+        (("--verify",), {"choices": ("bfs", "formula-scan")}),
+    )),
+    ("antipode", cmd_antipode, 3, "vertex at maximal distance", (
+        (("--rep",), {"required": True}),
+        (("--kind",), {"choices": ("reverse", "rotate"), "default": "reverse"}),
+    )),
+    ("verify", cmd_verify, 2, "run the invariant suites", (
+        (("--suite",), {"choices": ["all"] + checks.suite_names(), "default": "all"}),
+    )),
+    ("render", cmd_render, 1, "render a triangulation as SVG", (
+        (("--phi",), {"required": True, "metavar": "A:BITS"}),
+        (("-o", "--output"), {"required": True}),
+    )),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``tft`` parser with the subparser of ``command`` alone, or
+    with all of them when ``command`` names none.  Each subcommand's
+    required ``-n`` states its floor, which ``main`` enforces."""
     parser = _Parser(
         prog="tft",
         description="Colored triangle-free triangulations and their flip graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _subcommand(sub, "count", cmd_count, 1, "count triangulations")
-
-    p = _subcommand(sub, "graph", cmd_graph, 2, "export the flip graph")
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("-o", "--output", required=True)
-
-    p = _subcommand(sub, "distance", cmd_distance, 2, "flip distance between representatives")
-    p.add_argument("--from", required=True, metavar="REP")
-    p.add_argument("--to", required=True, metavar="REP")
-    p.add_argument("--method", choices=("formula", "bfs", "both"), default="both")
-
-    p = _subcommand(sub, "diameter", cmd_diameter, 3, "diameter of the flip graph")
-    p.add_argument("--verify", choices=("bfs", "formula-scan"))
-
-    p = _subcommand(sub, "antipode", cmd_antipode, 3, "vertex at maximal distance")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--kind", choices=("reverse", "rotate"), default="reverse")
-
-    p = _subcommand(sub, "verify", cmd_verify, 2, "run the invariant suites")
-    p.add_argument("--suite", choices=["all"] + checks.suite_names(), default="all")
-
-    p = _subcommand(sub, "render", cmd_render, 1, "render a triangulation as SVG")
-    p.add_argument("--phi", required=True, metavar="A:BITS")
-    p.add_argument("-o", "--output", required=True)
-
+    rows = [row for row in _SUBCOMMANDS if row[0] == command] or _SUBCOMMANDS
+    for name, func, min_n, help, arguments in rows:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-n", type=int, required=True, help=f"size parameter, n >= {min_n}")
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func, min_n=min_n)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.n < args.min_n:
         parser.error(f"{args.command} requires -n >= {args.min_n}")

@@ -48,9 +48,9 @@ __all__ = [
 
 # The step tables take 4 bytes per vertex and color (18 MiB at n = 14),
 # and the exports stream from them.  Measured at n = 14, one process each
-# (2 vCPU, Python 3.11): build_graph 0.3-0.4 s / 38 MiB; tft graph
-# --format json 2.5-3.3 s / 39 MiB for a 98 MB file, --format dot
-# 2.4-2.9 s / 39 MiB for a 122 MB file.  Time and file size double per
+# (2 vCPU, Python 3.11): build_graph 0.2-0.3 s / 39 MiB; tft graph
+# --format json 2.4-3.3 s / 40 MiB for a 98 MB file, --format dot
+# 2.0-2.9 s / 40 MiB for a 122 MB file.  Time and file size double per
 # step of n, so n = 20 would write a JSON file of over 6 GB.
 MAX_GRAPH_N = 14
 
@@ -64,12 +64,14 @@ class FlipGraph(NamedTuple):
 
 def build_graph(n: int) -> FlipGraph:
     """One step table per generator color, read off
-    ``representatives._apply_generator`` at the e_n = 0 vertex of each
-    fiber: the n+4 ids sharing their first n exponents, in ``product``
-    order.  No s_i reads e_n and s_n steps it by +-1 modulo n+4, so s_i
-    maps a fiber onto one fiber turned by that vertex's image e_n, and
-    the fiber's ids follow as one slice of the image fiber, or two when
-    it is turned.  Guarded by the per-vertex sweep
+    ``representatives._apply_generator`` at the head of each fiber: the
+    e_n = 0 vertex of the n+4 ids that share their first n exponents,
+    in ``product`` order.  No s_i reads e_n and s_n steps it by +-1
+    modulo n+4, so s_i maps a fiber onto one fiber turned by the image
+    of its head.  The image is the head itself (a fixed coset), another
+    head, or a turned fiber, whose ids are two slices of the image
+    fiber's block; each table appends its fibers' blocks of
+    ``array("i")`` bytes in order.  Guarded by the per-vertex sweep
     ``TestStepTables::test_tables_equal_the_generator_sweep`` and by
     ``action-vs-geometry`` and ``rotation-automorphism``.  Bounded by
     ``MAX_GRAPH_N`` to fit in memory.
@@ -77,15 +79,26 @@ def build_graph(n: int) -> FlipGraph:
     if not 2 <= n <= MAX_GRAPH_N:
         raise ValueError(f"graph construction supports 2 <= n <= {MAX_GRAPH_N}")
     m = n + 4
+    heads = [bits + (0,) for bits in product((0, 1), repeat=n)]
+    index = {head: k for k, head in enumerate(heads)}
     ids = array("i", range(m << n))
-    fibers = {bits: k * m for k, bits in enumerate(product((0, 1), repeat=n))}
+    width, size = ids.itemsize, m * ids.itemsize
+    data = ids.tobytes()
+    blocks = [data[v : v + size] for v in range(0, len(data), size)]
     steps = []
     for i in range(n + 1):
         step = array("i")
-        for bits in fibers:
-            s = reps._apply_generator(i, bits + (0,), n)
-            v, turn = fibers[s[:n]], s[n]
-            step += ids[v + turn : v + m] + ids[v : v + turn] if turn else ids[v : v + m]
+        for head, block in zip(heads, blocks):
+            s = reps._apply_generator(i, head, n)
+            if s is not head:
+                k = index.get(s)
+                if k is None:
+                    image, cut = blocks[index[s[:n] + (0,)]], s[n] * width
+                    step.frombytes(image[cut:])
+                    block = image[:cut]
+                else:
+                    block = blocks[k]
+            step.frombytes(block)
         steps.append(step)
     return FlipGraph(n, steps)
 

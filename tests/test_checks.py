@@ -584,6 +584,29 @@ def test_verify_reports_a_non_square_volume_as_a_fail_row(monkeypatch, capsys):
     assert err == "FAILED: volumes\n"
 
 
+def test_verify_reports_a_closed_form_outside_the_interval_as_a_fail_row(
+    monkeypatch, capsys
+):
+    # suffix sums added, not taken the min of: (0,0,0,4) meet (0,0,0,3)
+    # has last exponent 7, which check_rep refuses with a ValueError
+    pair = ((0, 0, 0, 4), (0, 0, 0, 3))
+    meet = reps.meet
+    monkeypatch.setattr(
+        reps, "meet",
+        lambda r, s, n: reps._bound(lambda a, b: a + b, r, s, n) if (r, s) == pair
+        else meet(r, s, n),
+    )
+    code = main(["verify", "-n", str(N), "--suite", "lattice"])
+    out, err = capsys.readouterr()
+    rows = verify_rows(out)
+    detail = "last exponent must be in 0..6: (0, 0, 0, 7)"
+    assert code == 1
+    assert list(rows) == [c.name for c in checks.SUITES if c.suite == "lattice"]
+    assert rows.pop("meet-join") == rows.pop("modularity") == ["FAIL", detail]
+    assert {st for st, _ in rows.values()} == {"ok"}
+    assert err == "FAILED: meet-join\n"
+
+
 # -- checks that no other test makes fail
 
 

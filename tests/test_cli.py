@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import tftflip
+from tftflip import cli
 from tftflip.checks import SUITES
-from tftflip.cli import main
+from tftflip.cli import build_parser, main
 from tftflip.geometry import enumerate_ctft
 
 CAPS = {check.name: check.max_n for check in SUITES}
@@ -373,3 +374,114 @@ class TestUsage:
             main([*argv, "-n", str(floor - 1)])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"tft: error: {argv[0]} requires -n >= {floor}\n"
+
+
+FULL_HELP = """\
+usage: tft [-h] {count,graph,distance,diameter,antipode,verify,render} ...
+
+Colored triangle-free triangulations and their flip graph.
+
+positional arguments:
+  {count,graph,distance,diameter,antipode,verify,render}
+    count               count triangulations
+    graph               export the flip graph
+    distance            flip distance between representatives
+    diameter            diameter of the flip graph
+    antipode            vertex at maximal distance
+    verify              run the invariant suites
+    render              render a triangulation as SVG
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+class TestParsers:
+    """``main`` builds only the subparser its first argument names; that
+    parser must say what the parser of all seven says."""
+
+    REQUIRED = {
+        "count": (),
+        "graph": ("-o", "g.json"),
+        "distance": ("--from", "0,0", "--to", "0,0"),
+        "diameter": (),
+        "antipode": ("--rep", "0,0,0"),
+        "verify": (),
+        "render": ("--phi", "0:0", "-o", "t.svg"),
+    }
+    CHOICES = {
+        "graph": "--format",
+        "distance": "--method",
+        "diameter": "--verify",
+        "antipode": "--kind",
+        "verify": "--suite",
+    }
+
+    @staticmethod
+    def outcome(capsys, parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("name", [row[0] for row in cli._SUBCOMMANDS])
+    def test_one_subparser_says_what_all_seven_say(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        required = [name, "-n", "3", *self.REQUIRED[name]]
+        cases = {
+            "help": ([name, "-h"], 0),
+            "missing -n": ([name, *self.REQUIRED[name]], 2),
+            "bad -n": ([name, "-n", "x", *self.REQUIRED[name]], 2),
+            "extra token": ([*required, "extra"], 2),
+        }
+        if name in self.CHOICES:
+            cases["bad choice"] = ([*required, self.CHOICES[name], "bogus"], 2)
+        for case, (argv, code) in cases.items():
+            one = self.outcome(capsys, build_parser(name), argv)
+            assert one == self.outcome(capsys, build_parser(), argv), case
+            assert one[0] == code and (one[1] if code == 0 else one[2]), case
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ((), (2, "", "tft: error: the following arguments are required: command\n")),
+            (("-h",), (0, FULL_HELP, "")),
+            (
+                ("bogus",),
+                (2, "", "tft: error: argument command: invalid choice: 'bogus' (choose from "
+                 "'count', 'graph', 'distance', 'diameter', 'antipode', 'verify', 'render')\n"),
+            ),
+        ],
+        ids=["none", "help", "unknown"],
+    )
+    def test_without_a_subcommand_every_subparser_is_built(
+        self, capsys, monkeypatch, argv, expected
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert (exc.value.code, *capsys.readouterr()) == expected
+
+    def test_a_subcommand_builds_its_own_parser_only(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        assert main(["count", "-n", "3"]) == 0
+        assert built == ["tft", "tft count"]
+        # no parser is kept between calls
+        assert main(["count", "-n", "3"]) == 0
+        assert built == ["tft", "tft count"] * 2
+        assert capsys.readouterr().out == "CTFT=56 TFT=28\n" * 2
+
+    def test_module_entry_point_reads_sys_argv(self):
+        src = str(Path(tftflip.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tftflip.cli", "count", "-n", "3"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "CTFT=56 TFT=28\n", "")

@@ -257,6 +257,24 @@ class TestStepTables:
         rows = {name: status for name, status, _ in run_suite(n, "coxeter")}
         assert rows["action-vs-geometry"] == "FAIL"
 
+    def test_tables_follow_a_turning_generator(self, monkeypatch):
+        # s_1 now turns the fiber 1,0,1 by +2 instead of moving it to the
+        # head 0,1,1, so a colour other than s_n takes the two-slice path
+        n, act, calls = 3, reps._apply_generator, []
+
+        def patched(i, r, n):
+            calls.append(i)
+            if i == 1 and r[:n] == (1, 0, 1):
+                return r[:n] + ((r[n] + 2) % (n + 4),)
+            return act(i, r, n)
+
+        monkeypatch.setattr(reps, "_apply_generator", patched)
+        after = [list(step) for step in build_graph(n).steps]
+        assert len(calls) == (n + 1) * 2**n
+        v = 5 * (n + 4)  # the id of 1,0,1,0
+        assert after[1][v : v + n + 4] == [*range(v + 2, v + n + 4), v, v + 1]
+        assert after == reference_steps(n)
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_export_edges_equal_the_generator_sweep(self, n):
         edges = list(colored_edges(build_graph(n)))
