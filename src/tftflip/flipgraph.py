@@ -15,8 +15,8 @@ breadth-first search over the tables.
 from __future__ import annotations
 
 from array import array
-from itertools import groupby, product
-from operator import itemgetter, or_
+from itertools import chain, product, repeat
+from operator import floordiv, getitem, mod, or_
 from typing import Iterator, NamedTuple
 
 from . import representatives as reps
@@ -49,9 +49,10 @@ __all__ = [
 # The step tables take 4 bytes per vertex and color (18 MiB at n = 14),
 # and the exports stream from them.  Measured at n = 14, one process each
 # (2 vCPU, Python 3.11): build_graph 0.2-0.3 s / 39 MiB; tft graph
-# --format json 2.4-3.3 s / 40 MiB for a 98 MB file, --format dot
-# 2.0-2.9 s / 40 MiB for a 122 MB file.  Time and file size double per
-# step of n, so n = 20 would write a JSON file of over 6 GB.
+# --format json 1.6-2.0 s / 43 MiB for a 98 MB file, --format dot
+# 1.5-1.6 s / 43 MiB for a 122 MB file, the peak set by the layout
+# guard's bytes.  Time and file size double per step of n, so n = 20
+# would write a JSON file of over 6 GB.
 MAX_GRAPH_N = 14
 
 
@@ -123,27 +124,75 @@ def vertex_rep(v: int, n: int) -> Rep:
 
 
 def colored_edges(g: FlipGraph) -> Iterator[tuple[int, int, int]]:
-    """Every colored edge (u, v, color), u < v, in sorted order: one
-    pass over the zipped step tables, whose row u lists s_0 u .. s_n u.
-    Guarded by ``TestStepTables::test_export_edges_equal_the_generator_sweep``."""
-    for u, row in enumerate(zip(*g.steps)):
-        for v, color in sorted((v, i) for i, v in enumerate(row) if v > u):
-            yield u, v, color
+    """Every colored edge (u, v, color), u < v, in sorted order, read
+    per fiber by ``_edge_runs`` behind the layout guard of
+    ``rotation_defect``, which raises ``RuntimeError`` at the first
+    edge of a table that fails it.  Guarded by the per-vertex sort in
+    ``TestStepTables::test_export_edges_equal_the_generator_sweep`` and
+    ``TestExports::test_unusual_tables_equal_the_reference``."""
+    _rotation_guard(g)
+    for base, e0, e1, colors in _edge_runs(g):
+        for u in range(base + e0, base + e1):
+            for c in colors:
+                yield u, g.steps[c][u], c
+
+
+def _head_images(step: array, m: int) -> tuple[Iterator[int], Iterator[int]]:
+    """The fiber F' and turn t of step[F*m] = F'*m + t for each fiber F,
+    as two lazy iterators.  A table that commutes with rotating e_n
+    sends F*m + e to F'*m + (t + e) mod m."""
+    heads = step[::m]
+    return map(floordiv, heads, repeat(m)), map(mod, heads, repeat(m))
 
 
 def rotation_defect(g: FlipGraph) -> str | None:
     """Names the first color and id at which stepping e_n by +1 modulo
     n+4 does not commute with the step table, or None when the rotation
-    is an automorphism of the colored graph."""
-    m = g.n + 4
-    rot = [v + 1 if v % m < m - 1 else v + 1 - m for v in range(len(g.steps[0]))]
+    is an automorphism of the colored graph.
+
+    A table commutes exactly when it equals its layout, each fiber's
+    block turned as ``_head_images`` reads it; both are compared as
+    bytes, one color at a time.  They agree at the heads, so the first
+    id w where they differ is no head and the first defect is at w - 1.
+    Guarded by ``reference_rotation_defect`` on seeded rewires."""
+    m, width = g.n + 4, g.steps[0].itemsize
+    doubled = [array("i", range(b, b + m)).tobytes() * 2 for b in range(0, len(g.steps[0]), m)]
+    cuts = [slice(t * width, (t + m) * width) for t in range(m)]
     for i, step in enumerate(g.steps):
-        after = [step[v] for v in rot]
-        before = [rot[v] for v in step]
-        if after != before:
-            v = next(v for v, (a, b) in enumerate(zip(after, before)) if a != b)
-            return f"rotating e_n does not commute with s_{i} at vertex {v}"
+        heads, turns = _head_images(step, m)
+        blocks = map(doubled.__getitem__, heads)
+        layout = b"".join(map(getitem, blocks, map(cuts.__getitem__, turns)))
+        if layout != step.tobytes():
+            w = next(v for v, (a, b) in enumerate(zip(step, array("i", layout))) if a != b)
+            return f"rotating e_n does not commute with s_{i} at vertex {w - 1}"
     return None
+
+
+def _rotation_guard(g: FlipGraph) -> None:
+    defect = rotation_defect(g)
+    if defect is not None:
+        raise RuntimeError(defect)
+
+
+def _edge_runs(g: FlipGraph) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """Runs (F*m, e0, e1, colors) of a table that commutes with the
+    rotation: id u = F*m + e, e0 <= e < e1, has the up edges (u, s_c u, c)
+    for c in ``colors``, in that order.  The order is one per fiber, by
+    target, unless a color turns F within itself (up for e < m - t) or
+    two share a target fiber; then it changes only at such e = m - t."""
+    m = g.n + 4
+    for f, images in enumerate(zip(*[zip(*_head_images(step, m)) for step in g.steps])):
+        ups = sorted((h, t, c) for c, (h, t) in enumerate(images) if (h, t) > (f, 0))
+        targets = {h for h, _, _ in ups}
+        if f not in targets and len(targets) == len(ups):
+            if ups:
+                yield f * m, 0, m, tuple(c for _, _, c in ups)
+            continue
+        cuts = sorted({0, *(m - t for _, t, _ in ups if t)})
+        for e0, e1 in zip(cuts, cuts[1:] + [m]):
+            order = sorted((h * m + (t + e0) % m, c) for h, t, c in ups if h > f or t + e0 < m)
+            if order:
+                yield f * m, e0, e1, tuple(c for _, c in order)
 
 
 def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
@@ -254,11 +303,9 @@ def bfs_diameter(g: FlipGraph) -> int:
     k*m has reached id F*m + e.  The rotation makes that layout exact:
     ``step[F*m + e] = F'*m + (t + e) mod m`` with ``step[F*m] = F'*m +
     t``, so a color pulls ``seen[F']`` rotated right by t fields of 2^n
-    bits, F' and t read off each table at the fiber heads.  Guarded by
+    bits, F' and t read off each table by ``_head_images``.  Guarded by
     ``reference_bfs_diameter``, the per-vertex sweep, in the tests."""
-    defect = rotation_defect(g)
-    if defect is not None:
-        raise RuntimeError(defect)
+    _rotation_guard(g)
     ids = list(range(len(g.steps[0])))
     for i, step in enumerate(g.steps):
         if list(map(step.__getitem__, step)) != ids:
@@ -269,7 +316,7 @@ def bfs_diameter(g: FlipGraph) -> int:
     by_turn = [(t * width, (1 << t * width) - 1, total - t * width) for t in range(m)]
     pulls = []
     for step in g.steps:
-        heads, turns = zip(*(divmod(v, m) for v in step[::m]))
+        heads, turns = map(tuple, _head_images(step, m))
         # a color that turns no fiber pulls its fields in place
         turn = tuple(zip(*map(by_turn.__getitem__, turns))) if any(turns) else None
         pulls.append((heads, turn))
@@ -380,26 +427,34 @@ def _fiber_heads(n: int) -> Iterator[tuple[Rep, str]]:
 
 
 def dot_lines(g: FlipGraph) -> Iterator[str]:
-    """DOT text with representative labels and generator-colored edges.
+    """DOT text with representative labels and generator-colored edges,
+    one fiber at a time.
 
-    The label of id v is its fiber's head (``_fiber_heads``, 2^n
-    strings) followed by e_n = v mod (n+4), so ``format_rep`` runs once
-    per fiber.  Guarded by the per-vertex reference in
-    ``TestExports::test_streamed_export_equals_the_reference``, by
-    ``TestExports::test_exports_read_the_library_once_per_fiber`` and,
-    at n = 12, by ``TestGraph::test_n12_dot_export_streams_in_small_memory``.
+    The label of id v is its fiber's head (``_fiber_heads``) followed by
+    e_n = v mod (n+4), so ``format_rep`` runs once per fiber.  A fiber's
+    vertex lines, and each of its ``_edge_runs``, are one ``%``-template
+    with the head labels built in, repeated once per id and filled from
+    turned ``range(n+4)`` columns.  A table that fails the layout guard
+    raises ``RuntimeError`` before the first line.  Guarded by
+    ``TestExports::test_streamed_export_equals_the_reference``,
+    ``test_unusual_tables_equal_the_reference`` and
+    ``test_exports_read_the_library_once_per_fiber``, and at n = 12 by
+    ``TestGraph::test_n12_dot_export_streams_in_small_memory``.
     """
+    _rotation_guard(g)
     m = g.n + 4
     heads = [head for _, head in _fiber_heads(g.n)]
+    turned = tuple(range(m)) * 2
     yield f"graph flipgraph_n{g.n} {{\n"
     for head in heads:
-        yield "".join(f'  "{head}{e}";\n' for e in range(m))
-    for u, edges in groupby(colored_edges(g), itemgetter(0)):
-        label = heads[u // m] + str(u % m)
-        yield "".join(
-            f'  "{label}" -- "{heads[v // m]}{v % m}" [label="color={color}"];\n'
-            for _, v, color in edges
-        )
+        yield f'  "{head}%d";\n' * m % turned[:m]
+    for base, e0, e1, colors in _edge_runs(g):
+        unit, columns = "", []
+        for c in colors:
+            h, t = divmod(g.steps[c][base + e0], m)
+            unit += f'  "{heads[base // m]}%d" -- "{heads[h]}%d" [label="color={c}"];\n'
+            columns += turned[e0:e1], turned[t : t + e1 - e0]
+        yield unit * (e1 - e0) % tuple(chain.from_iterable(zip(*columns)))
     yield "}\n"
 
 
@@ -407,41 +462,54 @@ _NEXT = "  },\n  {"  # closes one JSON record and opens the next
 
 
 def json_lines(g: FlipGraph) -> Iterator[str]:
-    """Format-1 JSON, laid out as ``json.dumps(doc, indent=1)``.
+    """Format-1 JSON, laid out as ``json.dumps(doc, indent=1)``, one
+    fiber at a time.
 
     The library is read once per fiber, at its e_n = 0 vertex r: raising
     e_n to e appends e to the label, moves the phi center from a to
     (a - e) mod (n+4) and adds (n+1)*e to the length, one a_n factor per
-    step.  Guarded by the per-vertex reference in
-    ``TestExports::test_streamed_export_equals_the_reference``, by
-    ``TestExports::test_exports_read_the_library_once_per_fiber`` and,
-    at n = 12, by ``TestGraph::test_n12_json_export_streams_in_small_memory``.
+    step.  So a fiber's vertex records are one ``%``-template, repeated
+    n+4 times and filled from ``range`` and tuple-slice columns.  Each of
+    ``_edge_runs`` fills the template of its colors (made once per call)
+    from ``range(u0, u1)`` and the slices ``steps[c][u0:u1]``.  A table
+    that fails the layout guard raises ``RuntimeError`` before the first
+    line.  Guarded as ``dot_lines``, and at n = 12 by
+    ``TestGraph::test_n12_json_export_streams_in_small_memory``.
     """
+    _rotation_guard(g)
     n, m = g.n, g.n + 4
+    centers = tuple(range(m - 1, -1, -1)) * 2  # (a - e) mod m from index m-1-a
     yield f'{{\n "format": 1,\n "n": {n},\n "vertices": [\n'
     sep = "  {"
     for r, head in _fiber_heads(n):
         phi, length = reps.rep_to_phi(r, n), reps.rep_length(r)
         bits = str(phi).partition(":")[2]
-        yield sep + _NEXT.join(
-            f'\n   "rep": "{head}{e}",\n   "phi": "{(phi.a - e) % m}:{bits}",\n'
-            f'   "length": {length + (n + 1) * e}\n'
-            for e in range(m)
-        )
+        record = f'\n   "rep": "{head}%d",\n   "phi": "%d:{bits}",\n   "length": %d\n'
+        columns = range(m), centers[m - 1 - phi.a :], range(length, length + (n + 1) * m, n + 1)
+        yield sep + _NEXT.join([record] * m) % tuple(chain.from_iterable(zip(*columns)))
         sep = _NEXT
     yield '  }\n ],\n "edges": [\n'
-    sep = "  {"
-    for u, edges in groupby(colored_edges(g), itemgetter(0)):
-        yield sep + _NEXT.join(
-            f'\n   "u": {u},\n   "v": {v},\n   "color": {color}\n' for _, v, color in edges
-        )
+    sep, templates = "  {", {}
+    for base, e0, e1, colors in _edge_runs(g):
+        u0, u1 = base + e0, base + e1
+        template = templates.get((colors, u1 - u0))
+        if template is None:
+            unit = _NEXT.join(f'\n   "u": %d,\n   "v": %d,\n   "color": {c}\n' for c in colors)
+            template = templates[colors, u1 - u0] = _NEXT.join([unit] * (u1 - u0))
+        columns = chain.from_iterable((range(u0, u1), g.steps[c][u0:u1]) for c in colors)
+        yield sep + template % tuple(chain.from_iterable(zip(*columns)))
         sep = _NEXT
     yield "  }\n ]\n}\n"
 
 
 def write_export(g: FlipGraph, fmt: str, path: str) -> None:
+    """Writes the export; its first chunk is taken before ``path`` is
+    opened, so a table that fails the layout guard leaves no file."""
     lines = {"dot": dot_lines, "json": json_lines}.get(fmt)
     if lines is None:
         raise ValueError(f"unknown export format {fmt!r}")
+    chunks = lines(g)
+    first = next(chunks)
     with open(path, "w") as fh:
-        fh.writelines(lines(g))
+        fh.write(first)
+        fh.writelines(chunks)

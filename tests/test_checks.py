@@ -332,6 +332,24 @@ def test_graph_checks_catch_a_table_without_rotation_symmetry(monkeypatch, check
     )
 
 
+def test_edge_readers_refuse_a_table_without_rotation_symmetry(monkeypatch, capsys, tmp_path):
+    # the edges are read off the fiber heads, so a table that does not
+    # commute with the rotation stops every export before its file
+    # exists, and the edge rows FAIL with the same text
+    broken_tables(monkeypatch, join_fixed_vertices)
+    defect = "rotating e_n does not commute with s_1 at vertex 0"
+    path = tmp_path / "g.out"
+    for fmt in ("json", "dot"):
+        with pytest.raises(RuntimeError) as raised:
+            flipgraph.write_export(flipgraph.build_graph(N), fmt, str(path))
+        assert str(raised.value) == defect
+        assert main(["graph", "-n", str(N), "--format", fmt, "-o", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {defect}\n")
+        assert not path.exists()
+    for name in ("graph-description", "bipartition"):
+        assert row(name) == ("FAIL", defect)
+
+
 def test_rotation_automorphism_holds_the_tables_to_the_generator_action(monkeypatch):
     # build_graph reads the action at e_n = 0 only and fills each fiber
     # by rotation, so tables that commute with it can still miss that

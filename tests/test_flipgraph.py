@@ -89,14 +89,14 @@ def reference_bfs(adjacency, source):
     return dist
 
 
-def reference_dot(n):
-    """The DOT export built whole from ``all_reps`` and the sorted
-    reference edges."""
+def reference_dot(n, steps=None):
+    """The DOT export built whole from ``all_reps`` and the sorted edges
+    of ``steps`` (by default the reference tables)."""
     vertices = all_reps(n)
     lines = [f"graph flipgraph_n{n} {{"]
     for r in vertices:
         lines.append(f'  "{format_rep(r)}";')
-    for u, v, color in sorted(reference_edges(reference_steps(n))):
+    for u, v, color in sorted(reference_edges(steps or reference_steps(n))):
         lines.append(
             f'  "{format_rep(vertices[u])}" -- '
             f'"{format_rep(vertices[v])}" [label="color={color}"];'
@@ -105,9 +105,10 @@ def reference_dot(n):
     return "\n".join(lines) + "\n"
 
 
-def reference_json(n):
+def reference_json(n, steps=None):
     """The format-1 JSON export built whole as a document and encoded
-    by ``json.dumps``."""
+    by ``json.dumps``, with the edges of ``steps`` (by default the
+    reference tables)."""
     doc = {
         "format": 1,
         "n": n,
@@ -117,10 +118,24 @@ def reference_json(n):
         ],
         "edges": [
             {"u": u, "v": v, "color": c}
-            for u, v, c in sorted(reference_edges(reference_steps(n)))
+            for u, v, c in sorted(reference_edges(steps or reference_steps(n)))
         ],
     }
     return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_rotation_defect(g):
+    """The per-vertex comparison of each table before and after stepping
+    e_n by +1 modulo n+4: the first color and id where they differ."""
+    m = g.n + 4
+    rot = [v + 1 if v % m < m - 1 else v + 1 - m for v in range(len(g.steps[0]))]
+    for i, step in enumerate(g.steps):
+        after = [step[v] for v in rot]
+        before = [rot[v] for v in step]
+        if after != before:
+            v = next(v for v, (a, b) in enumerate(zip(after, before)) if a != b)
+            return f"rotating e_n does not commute with s_{i} at vertex {v}"
+    return None
 
 
 def reference_bfs_diameter(g):
@@ -159,6 +174,36 @@ def turned(n, color, turn, half=False):
     assert rotation_defect(g) is None
     assert all(step[step[v]] == v for v in range(len(step)))
     return g
+
+
+def shared_target(n, turn=3):
+    """``build_graph(n)`` with s_2 also joining fiber 0 (bits 0...0) to
+    s_0's image of it, fiber 2^(n-1) (bits 10...0), turned by ``turn``:
+    s_2 fixes both fibers, so the table stays an involution that commutes
+    with rotating e_n, and two colors send fiber 0 to one fiber."""
+    g, m = build_graph(n), n + 4
+    b = m << (n - 1)
+    step = g.steps[2]
+    assert (step[0], step[b], g.steps[0][0]) == (0, b, b)
+    for e in range(m):
+        step[e], step[b + (e + turn) % m] = b + (e + turn) % m, e
+    assert rotation_defect(g) is None
+    # which of s_0 and s_2 reaches the lower id changes at e_n = m - turn
+    edges = sorted(reference_edges(g.steps))
+    order = [[c for u, _, c in edges if u == e and c in (0, 2)] for e in range(m)]
+    assert order == [[0, 2]] * (m - turn) + [[2, 0]] * turn
+    return g
+
+
+UNUSUAL_TABLES = (
+    # the fibers that s_c fixes turned within themselves by half a turn
+    [(f"half-n{n}-s{c}", n, lambda n=n, c=c: turned(n, c, 1, half=True))
+     for n in (4, 6) for c in range(1, n)]
+    # the fibers that s_c moves turned by +-2
+    + [(f"turn2-n{n}-s{c}", n, lambda n=n, c=c: turned(n, c, 2))
+       for n in (3, 5) for c in range(n + 1)]
+    + [(f"shared-n{n}", n, lambda n=n: shared_target(n)) for n in (3, 5)]
+)
 
 
 def reference_scan_diameter(n):
@@ -313,6 +358,21 @@ class TestStepTables:
         for call in (lambda: vertex_rep(0, n), lambda: wrap_edges(n)):
             with pytest.raises(ValueError, match="representatives require n >= 2"):
                 call()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rotation_defect_equals_the_per_vertex_one(self, n):
+        # 50 seeded rewires per n: one or two entries set to random ids,
+        # some to the value they hold already, which leaves no defect
+        rng, size, found = random.Random(100 + n), (n + 4) << n, Counter()
+        for _ in range(50):
+            g = build_graph(n)
+            for _ in range(rng.choice((1, 2))):
+                step, v = rng.choice(g.steps), rng.randrange(size)
+                step[v] = step[v] if rng.random() < 0.2 else rng.randrange(size)
+            defect = rotation_defect(g)
+            assert defect == reference_rotation_defect(g)
+            found[defect is None] += 1
+        assert found[False] > 0 and found[True] > 0
 
     def test_rotation_defect(self):
         g = build_graph(4)
@@ -614,6 +674,22 @@ class TestExports:
             monkeypatch.setattr(reps, name, counting(name))
         "".join(lines(build_graph(5)))
         assert calls == {name: 32 for name in counted}
+
+    @pytest.mark.parametrize(
+        "n, tables",
+        [case[1:] for case in UNUSUAL_TABLES],
+        ids=[case[0] for case in UNUSUAL_TABLES],
+    )
+    def test_unusual_tables_equal_the_reference(self, n, tables):
+        # tables that commute with the rotation but that build_graph never
+        # makes; on the half and shared ones a fiber's edge order changes
+        # with e_n
+        g = tables()
+        steps = [list(step) for step in g.steps]
+        assert steps != [list(step) for step in build_graph(n).steps]
+        assert list(colored_edges(g)) == sorted(reference_edges(steps))
+        assert "".join(dot_lines(g)) == reference_dot(n, steps)
+        assert "".join(json_lines(g)) == reference_json(n, steps)
 
     def test_json_vertex_records(self, g3):
         doc = json.loads("".join(json_lines(g3)))
