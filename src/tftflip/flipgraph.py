@@ -48,11 +48,11 @@ __all__ = [
 
 # The step tables take 4 bytes per vertex and color (18 MiB at n = 14),
 # and the exports stream from them.  Measured at n = 14, one process each
-# (2 vCPU, Python 3.11): build_graph 0.2-0.3 s / 39 MiB; tft graph
-# --format json 1.6-2.0 s / 43 MiB for a 98 MB file, --format dot
-# 1.5-1.6 s / 43 MiB for a 122 MB file, the peak set by the layout
-# guard's bytes.  Time and file size double per step of n, so n = 20
-# would write a JSON file of over 6 GB.
+# (2 vCPU, Python 3.11): build_graph 0.25 s / 41 MiB; tft graph
+# --format json 1.3-1.8 s / 42 MiB for a 98 MB file, --format dot
+# 1.0-1.5 s / 42 MiB for a 122 MB file, the peak set by the doubled
+# fiber blocks of the layout check.  Time and file size double per step
+# of n, so n = 20 would write a JSON file of over 6 GB.
 MAX_GRAPH_N = 14
 
 
@@ -124,75 +124,83 @@ def vertex_rep(v: int, n: int) -> Rep:
 
 
 def colored_edges(g: FlipGraph) -> Iterator[tuple[int, int, int]]:
-    """Every colored edge (u, v, color), u < v, in sorted order, read
-    per fiber by ``_edge_runs`` behind the layout guard of
-    ``rotation_defect``, which raises ``RuntimeError`` at the first
-    edge of a table that fails it.  Guarded by the per-vertex sort in
+    """Every colored edge (u, v, color), u < v, in sorted order: each
+    fiber's ids with its up-colors from ``_edge_runs``, which raises
+    ``RuntimeError`` at the first ``next()`` on a refused table.  Guarded
+    by the per-vertex sort in
     ``TestStepTables::test_export_edges_equal_the_generator_sweep`` and
-    ``TestExports::test_unusual_tables_equal_the_reference``."""
-    _rotation_guard(g)
-    for base, e0, e1, colors in _edge_runs(g):
-        for u in range(base + e0, base + e1):
+    ``TestExports::test_unusual_tables_*``."""
+    m = g.n + 4
+    for f, colors in _edge_runs(g):
+        for u in range(f * m, f * m + m):
             for c in colors:
                 yield u, g.steps[c][u], c
 
 
-def _head_images(step: array, m: int) -> tuple[Iterator[int], Iterator[int]]:
-    """The fiber F' and turn t of step[F*m] = F'*m + t for each fiber F,
-    as two lazy iterators.  A table that commutes with rotating e_n
-    sends F*m + e to F'*m + (t + e) mod m."""
-    heads = step[::m]
-    return map(floordiv, heads, repeat(m)), map(mod, heads, repeat(m))
+def _layout(g: FlipGraph) -> tuple[list[tuple[array, bytes]], str | None]:
+    """The fiber F' and turn t of step[F*m] = F'*m + t (m = n+4), as two
+    sequences indexed by F, of each color up to the first that does not
+    commute with rotating e_n, and its defect or None.  A table commutes
+    exactly when it equals its layout, F*m + e sent to F'*m + (t + e)
+    mod m, built from byte slices; they agree at the heads, so the first
+    id w where they differ is no head and the first defect is at w - 1."""
+    m, width = g.n + 4, g.steps[0].itemsize
+    doubled = [array("i", range(b, b + m)).tobytes() * 2 for b in range(0, len(g.steps[0]), m)]
+    cuts = [slice(t * width, (t + m) * width) for t in range(m)]
+    images = []
+    for i, step in enumerate(g.steps):
+        ends = step[::m]
+        heads, turns = array("i", map(floordiv, ends, repeat(m))), bytes(map(mod, ends, repeat(m)))
+        images.append((heads, turns))
+        layout, blocks = array("i"), map(doubled.__getitem__, heads)
+        for block in map(getitem, blocks, map(cuts.__getitem__, turns)):
+            layout.frombytes(block)
+        if layout != step:
+            w = next(v for v, (a, b) in enumerate(zip(step, layout)) if a != b)
+            return images, f"rotating e_n does not commute with s_{i} at vertex {w - 1}"
+    return images, None
+
+
+def _fiber_images(g: FlipGraph) -> list[tuple[array, bytes]]:
+    """The one reader of the fiber layout: ``_layout``'s F' and t of
+    every color once each table equals its layout and is an involution,
+    else ``RuntimeError``.  On the layout s_i s_i sends F*m + e to
+    F''*m + (t + t'' + e) mod m, so it fixes the fiber (F'' = F, t + t''
+    = 0 mod m) exactly when it fixes F*m, the first id it moves."""
+    images, defect = _layout(g)
+    if defect is not None:
+        raise RuntimeError(defect)
+    for i, step in enumerate(g.steps):
+        v = next((v for v in range(0, len(step), g.n + 4) if step[step[v]] != v), None)
+        if v is not None:
+            raise RuntimeError(f"s_{i} is not an involution at vertex {v}")
+    return images
 
 
 def rotation_defect(g: FlipGraph) -> str | None:
     """Names the first color and id at which stepping e_n by +1 modulo
     n+4 does not commute with the step table, or None when the rotation
-    is an automorphism of the colored graph.
-
-    A table commutes exactly when it equals its layout, each fiber's
-    block turned as ``_head_images`` reads it; both are compared as
-    bytes, one color at a time.  They agree at the heads, so the first
-    id w where they differ is no head and the first defect is at w - 1.
-    Guarded by ``reference_rotation_defect`` on seeded rewires."""
-    m, width = g.n + 4, g.steps[0].itemsize
-    doubled = [array("i", range(b, b + m)).tobytes() * 2 for b in range(0, len(g.steps[0]), m)]
-    cuts = [slice(t * width, (t + m) * width) for t in range(m)]
-    for i, step in enumerate(g.steps):
-        heads, turns = _head_images(step, m)
-        blocks = map(doubled.__getitem__, heads)
-        layout = b"".join(map(getitem, blocks, map(cuts.__getitem__, turns)))
-        if layout != step.tobytes():
-            w = next(v for v, (a, b) in enumerate(zip(step, array("i", layout))) if a != b)
-            return f"rotating e_n does not commute with s_{i} at vertex {w - 1}"
-    return None
+    is an automorphism of the colored graph, involution or not.  Guarded
+    by ``reference_rotation_defect`` on seeded rewires."""
+    return _layout(g)[1]
 
 
-def _rotation_guard(g: FlipGraph) -> None:
-    defect = rotation_defect(g)
-    if defect is not None:
-        raise RuntimeError(defect)
-
-
-def _edge_runs(g: FlipGraph) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """Runs (F*m, e0, e1, colors) of a table that commutes with the
-    rotation: id u = F*m + e, e0 <= e < e1, has the up edges (u, s_c u, c)
-    for c in ``colors``, in that order.  The order is one per fiber, by
-    target, unless a color turns F within itself (up for e < m - t) or
-    two share a target fiber; then it changes only at such e = m - t."""
-    m = g.n + 4
-    for f, images in enumerate(zip(*[zip(*_head_images(step, m)) for step in g.steps])):
-        ups = sorted((h, t, c) for c, (h, t) in enumerate(images) if (h, t) > (f, 0))
-        targets = {h for h, _, _ in ups}
-        if f not in targets and len(targets) == len(ups):
-            if ups:
-                yield f * m, 0, m, tuple(c for _, _, c in ups)
-            continue
-        cuts = sorted({0, *(m - t for _, t, _ in ups if t)})
-        for e0, e1 in zip(cuts, cuts[1:] + [m]):
-            order = sorted((h * m + (t + e0) % m, c) for h, t, c in ups if h > f or t + e0 < m)
-            if order:
-                yield f * m, e0, e1, tuple(c for _, c in order)
+def _edge_runs(g: FlipGraph) -> list[tuple[int, tuple[int, ...]]]:
+    """Each fiber F with up edges, and their colors by target fiber: all
+    ids F*m + e have the edges (u, s_c u, c) in that order, unless a
+    color turns F within itself (up only for e < m - t) or two colors
+    send F to one fiber (their order changes with e).  ``build_graph``
+    makes neither, as s_0 and s_n always change a bit and a middle s_i
+    swaps two bits or fixes the coset, so the exports refuse both."""
+    runs = []
+    for f, images in enumerate(zip(*[zip(*image) for image in _fiber_images(g)])):
+        ups = sorted((h, c) for c, (h, t) in enumerate(images) if (h, t) > (f, 0))
+        # F itself, or one target twice, leaves fewer targets than colors
+        if len({f, *(h for h, _ in ups)}) <= len(ups):
+            raise RuntimeError(f"a color turns fiber {f} within itself or shares its target fiber")
+        if ups:
+            runs.append((f, tuple(c for _, c in ups)))
+    return runs
 
 
 def wrap_edges(n: int) -> set[tuple[Rep, Rep]]:
@@ -303,23 +311,16 @@ def bfs_diameter(g: FlipGraph) -> int:
     k*m has reached id F*m + e.  The rotation makes that layout exact:
     ``step[F*m + e] = F'*m + (t + e) mod m`` with ``step[F*m] = F'*m +
     t``, so a color pulls ``seen[F']`` rotated right by t fields of 2^n
-    bits, F' and t read off each table by ``_head_images``.  Guarded by
-    ``reference_bfs_diameter``, the per-vertex sweep, in the tests."""
-    _rotation_guard(g)
-    ids = list(range(len(g.steps[0])))
-    for i, step in enumerate(g.steps):
-        if list(map(step.__getitem__, step)) != ids:
-            v = next(v for v in ids if step[step[v]] != v)
-            raise RuntimeError(f"s_{i} is not an involution at vertex {v}")
+    bits, F' and t read off ``_fiber_images`` with both checks.  Guarded
+    by ``reference_bfs_diameter``, the per-vertex sweep, in the tests."""
     m, width = g.n + 4, 1 << g.n
     total = m * width
     by_turn = [(t * width, (1 << t * width) - 1, total - t * width) for t in range(m)]
     pulls = []
-    for step in g.steps:
-        heads, turns = map(tuple, _head_images(step, m))
+    for heads, turns in _fiber_images(g):
         # a color that turns no fiber pulls its fields in place
         turn = tuple(zip(*map(by_turn.__getitem__, turns))) if any(turns) else None
-        pulls.append((heads, turn))
+        pulls.append((tuple(heads), turn))
     full = (1 << total) - 1
     seen = [1 << f for f in range(width)]
     levels = 0
@@ -432,29 +433,29 @@ def dot_lines(g: FlipGraph) -> Iterator[str]:
 
     The label of id v is its fiber's head (``_fiber_heads``) followed by
     e_n = v mod (n+4), so ``format_rep`` runs once per fiber.  A fiber's
-    vertex lines, and each of its ``_edge_runs``, are one ``%``-template
-    with the head labels built in, repeated once per id and filled from
-    turned ``range(n+4)`` columns.  A table that fails the layout guard
+    vertex lines, and its edges in ``_edge_runs`` order, are one
+    ``%``-template each with the head labels built in, repeated once per
+    id and filled from turned ``range(n+4)`` columns.  A refused table
     raises ``RuntimeError`` before the first line.  Guarded by
     ``TestExports::test_streamed_export_equals_the_reference``,
-    ``test_unusual_tables_equal_the_reference`` and
+    ``test_unusual_tables_*`` and
     ``test_exports_read_the_library_once_per_fiber``, and at n = 12 by
     ``TestGraph::test_n12_dot_export_streams_in_small_memory``.
     """
-    _rotation_guard(g)
     m = g.n + 4
+    runs = _edge_runs(g)
     heads = [head for _, head in _fiber_heads(g.n)]
     turned = tuple(range(m)) * 2
     yield f"graph flipgraph_n{g.n} {{\n"
     for head in heads:
         yield f'  "{head}%d";\n' * m % turned[:m]
-    for base, e0, e1, colors in _edge_runs(g):
+    for f, colors in runs:
         unit, columns = "", []
         for c in colors:
-            h, t = divmod(g.steps[c][base + e0], m)
-            unit += f'  "{heads[base // m]}%d" -- "{heads[h]}%d" [label="color={c}"];\n'
-            columns += turned[e0:e1], turned[t : t + e1 - e0]
-        yield unit * (e1 - e0) % tuple(chain.from_iterable(zip(*columns)))
+            h, t = divmod(g.steps[c][f * m], m)
+            unit += f'  "{heads[f]}%d" -- "{heads[h]}%d" [label="color={c}"];\n'
+            columns += turned[:m], turned[t : t + m]
+        yield unit * m % tuple(chain.from_iterable(zip(*columns)))
     yield "}\n"
 
 
@@ -469,15 +470,15 @@ def json_lines(g: FlipGraph) -> Iterator[str]:
     e_n to e appends e to the label, moves the phi center from a to
     (a - e) mod (n+4) and adds (n+1)*e to the length, one a_n factor per
     step.  So a fiber's vertex records are one ``%``-template, repeated
-    n+4 times and filled from ``range`` and tuple-slice columns.  Each of
-    ``_edge_runs`` fills the template of its colors (made once per call)
-    from ``range(u0, u1)`` and the slices ``steps[c][u0:u1]``.  A table
-    that fails the layout guard raises ``RuntimeError`` before the first
-    line.  Guarded as ``dot_lines``, and at n = 12 by
-    ``TestGraph::test_n12_json_export_streams_in_small_memory``.
+    n+4 times and filled from ``range`` and tuple-slice columns, and its
+    edge records one from ``range`` and ``steps[c]`` slices, colors in
+    ``_edge_runs`` order; no edges give ``"edges": []``.  A refused table
+    raises ``RuntimeError`` before the first line.  Guarded as
+    ``dot_lines``, by ``test_exports_of_a_table_without_edges``, and at
+    n = 12 by ``TestGraph::test_n12_json_export_streams_in_small_memory``.
     """
-    _rotation_guard(g)
     n, m = g.n, g.n + 4
+    runs = _edge_runs(g)
     centers = tuple(range(m - 1, -1, -1)) * 2  # (a - e) mod m from index m-1-a
     yield f'{{\n "format": 1,\n "n": {n},\n "vertices": [\n'
     sep = "  {"
@@ -488,23 +489,21 @@ def json_lines(g: FlipGraph) -> Iterator[str]:
         columns = range(m), centers[m - 1 - phi.a :], range(length, length + (n + 1) * m, n + 1)
         yield sep + _NEXT.join([record] * m) % tuple(chain.from_iterable(zip(*columns)))
         sep = _NEXT
-    yield '  }\n ],\n "edges": [\n'
-    sep, templates = "  {", {}
-    for base, e0, e1, colors in _edge_runs(g):
-        u0, u1 = base + e0, base + e1
-        template = templates.get((colors, u1 - u0))
-        if template is None:
-            unit = _NEXT.join(f'\n   "u": %d,\n   "v": %d,\n   "color": {c}\n' for c in colors)
-            template = templates[colors, u1 - u0] = _NEXT.join([unit] * (u1 - u0))
-        columns = chain.from_iterable((range(u0, u1), g.steps[c][u0:u1]) for c in colors)
+    yield '  }\n ],\n "edges": ['
+    sep = "\n  {"
+    for f, colors in runs:
+        unit = _NEXT.join(f'\n   "u": %d,\n   "v": %d,\n   "color": {c}\n' for c in colors)
+        template = _NEXT.join([unit] * m)
+        u0 = f * m
+        columns = chain.from_iterable((range(u0, u0 + m), g.steps[c][u0 : u0 + m]) for c in colors)
         yield sep + template % tuple(chain.from_iterable(zip(*columns)))
         sep = _NEXT
-    yield "  }\n ]\n}\n"
+    yield "  }\n ]\n}\n" if sep == _NEXT else "]\n}\n"
 
 
 def write_export(g: FlipGraph, fmt: str, path: str) -> None:
     """Writes the export; its first chunk is taken before ``path`` is
-    opened, so a table that fails the layout guard leaves no file."""
+    opened, so a table that the readers refuse leaves no file."""
     lines = {"dot": dot_lines, "json": json_lines}.get(fmt)
     if lines is None:
         raise ValueError(f"unknown export format {fmt!r}")

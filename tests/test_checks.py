@@ -332,12 +332,15 @@ def test_graph_checks_catch_a_table_without_rotation_symmetry(monkeypatch, check
     )
 
 
-def test_edge_readers_refuse_a_table_without_rotation_symmetry(monkeypatch, capsys, tmp_path):
-    # the edges are read off the fiber heads, so a table that does not
-    # commute with the rotation stops every export before its file
-    # exists, and the edge rows FAIL with the same text
-    broken_tables(monkeypatch, join_fixed_vertices)
-    defect = "rotating e_n does not commute with s_1 at vertex 0"
+def assert_edge_readers_refuse(monkeypatch, capsys, tmp_path, breakage, defect):
+    """Every edge reader raises ``defect`` on the tables that ``breakage``
+    makes, before its first edge or chunk: no export file is written,
+    ``tft graph`` exits 1, and the edge rows FAIL with the same text."""
+    broken_tables(monkeypatch, breakage)
+    for lines in (flipgraph.colored_edges, flipgraph.dot_lines, flipgraph.json_lines):
+        with pytest.raises(RuntimeError) as raised:
+            next(lines(flipgraph.build_graph(N)))
+        assert str(raised.value) == defect
     path = tmp_path / "g.out"
     for fmt in ("json", "dot"):
         with pytest.raises(RuntimeError) as raised:
@@ -348,6 +351,28 @@ def test_edge_readers_refuse_a_table_without_rotation_symmetry(monkeypatch, caps
         assert not path.exists()
     for name in ("graph-description", "bipartition"):
         assert row(name) == ("FAIL", defect)
+
+
+def test_edge_readers_refuse_a_table_without_rotation_symmetry(monkeypatch, capsys, tmp_path):
+    # the edges are read off the fiber heads, so a table that does not
+    # commute with the rotation stops every export before its file exists
+    defect = "rotating e_n does not commute with s_1 at vertex 0"
+    assert_edge_readers_refuse(monkeypatch, capsys, tmp_path, join_fixed_vertices, defect)
+
+
+def bottom_to_top(steps, n):
+    # s_0 sends bits 0...0 to bits 1...1 with the same e_n: still
+    # rotation-symmetric, but s_0 s_0 moves id 0
+    m = n + 4
+    for e in range(m):
+        steps[0][e] = ((1 << n) - 1) * m + e
+
+
+def test_edge_readers_refuse_a_table_that_is_not_an_involution(monkeypatch, capsys, tmp_path):
+    # each edge is read once, from its lower id, so a step that its own
+    # color does not undo would be dropped: 7 of the 91 edges at n = 3
+    defect = "s_0 is not an involution at vertex 0"
+    assert_edge_readers_refuse(monkeypatch, capsys, tmp_path, bottom_to_top, defect)
 
 
 def test_rotation_automorphism_holds_the_tables_to_the_generator_action(monkeypatch):
@@ -378,13 +403,6 @@ def test_distance_formula_catches_one_wrong_partner(monkeypatch):
 
 
 def test_diameter_bfs_catches_a_table_that_is_not_an_involution(monkeypatch):
-    def bottom_to_top(steps, n):
-        # s_0 sends bits 0...0 to bits 1...1 with the same e_n: still
-        # rotation-symmetric, but s_0 s_0 moves id 0
-        m = n + 4
-        for e in range(m):
-            steps[0][e] = ((1 << n) - 1) * m + e
-
     broken_tables(monkeypatch, bottom_to_top)
     assert row("diameter-bfs") == ("FAIL", "s_0 is not an involution at vertex 0")
 

@@ -1,5 +1,6 @@
 import json
 import random
+from array import array
 from collections import Counter, defaultdict, deque
 
 import pytest
@@ -8,6 +9,7 @@ from tftflip import representatives as reps
 from tftflip.checks import run_suite
 from tftflip.coxeter import AffineMap, coxeter_length, gn_word, left_descents, word_to_affine
 from tftflip.flipgraph import (
+    FlipGraph,
     _distance,
     antipode,
     bfs_diameter,
@@ -195,15 +197,37 @@ def shared_target(n, turn=3):
     return g
 
 
-UNUSUAL_TABLES = (
-    # the fibers that s_c fixes turned within themselves by half a turn
+# tables that commute with the rotation but that build_graph never makes:
+# the fibers that s_c moves turned by +-2, each fiber's edges still in
+# one order
+UNUSUAL_TABLES = [
+    (f"turn2-n{n}-s{c}", n, lambda n=n, c=c: turned(n, c, 2)) for n in (3, 5) for c in range(n + 1)
+]
+# and tables with a fiber whose edges change order with e_n: the fibers
+# that s_c fixes turned within themselves by half a turn, and two colors
+# sending a fiber to one fiber
+SPLIT_TABLES = (
     [(f"half-n{n}-s{c}", n, lambda n=n, c=c: turned(n, c, 1, half=True))
      for n in (4, 6) for c in range(1, n)]
-    # the fibers that s_c moves turned by +-2
-    + [(f"turn2-n{n}-s{c}", n, lambda n=n, c=c: turned(n, c, 2))
-       for n in (3, 5) for c in range(n + 1)]
     + [(f"shared-n{n}", n, lambda n=n: shared_target(n)) for n in (3, 5)]
 )
+
+
+def reference_split_fiber(g):
+    """The first fiber F whose ids F*m + e do not all have their up
+    edges in one color order, by the per-vertex edge sort."""
+    m, order = g.n + 4, defaultdict(list)
+    for u, _, c in sorted(reference_edges(g.steps)):
+        order[u].append(c)
+    return next(f for f in range(1 << g.n) if len({tuple(order[f * m + e]) for e in range(m)}) > 1)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the text of its ``RuntimeError``."""
+    try:
+        return call(*args)
+    except RuntimeError as exc:
+        return str(exc)
 
 
 def reference_scan_diameter(n):
@@ -505,6 +529,31 @@ class TestDiameter:
         assert g.steps != build_graph(n).steps
         assert bfs_diameter(g) == reference_bfs_diameter(g)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_involution_check_names_the_per_vertex_defect(self, n):
+        # 20 seeded rewires per n: one or two fibers of a color sent to a
+        # random fiber and turn, which keeps the rotation symmetry; the
+        # sweep and the edge readers name the first color and id v with
+        # step[step[v]] != v, as the per-vertex check does
+        rng, m, found = random.Random(200 + n), n + 4, Counter()
+        for _ in range(20):
+            g = build_graph(n)
+            for _ in range(rng.choice((1, 2))):
+                step, f = rng.choice(g.steps), rng.randrange(1 << n)
+                h, t = rng.randrange(1 << n), rng.randrange(m)
+                step[f * m : f * m + m] = array("i", (h * m + (t + e) % m for e in range(m)))
+            assert rotation_defect(g) is None
+            defect = next(
+                (f"s_{i} is not an involution at vertex {v}"
+                 for i, step in enumerate(g.steps) for v, w in enumerate(step) if step[w] != v),
+                None,
+            )
+            found[defect is None] += 1
+            assert outcome(bfs_diameter, g) == (defect or outcome(reference_bfs_diameter, g))
+            if defect is not None:
+                assert outcome(next, colored_edges(g)) == defect
+        assert found[False] > 0
+
     def test_formula_scan_agrees(self):
         assert formula_scan_diameter(3) == 14
 
@@ -681,15 +730,41 @@ class TestExports:
         ids=[case[0] for case in UNUSUAL_TABLES],
     )
     def test_unusual_tables_equal_the_reference(self, n, tables):
-        # tables that commute with the rotation but that build_graph never
-        # makes; on the half and shared ones a fiber's edge order changes
-        # with e_n
         g = tables()
         steps = [list(step) for step in g.steps]
         assert steps != [list(step) for step in build_graph(n).steps]
         assert list(colored_edges(g)) == sorted(reference_edges(steps))
         assert "".join(dot_lines(g)) == reference_dot(n, steps)
         assert "".join(json_lines(g)) == reference_json(n, steps)
+
+    @pytest.mark.parametrize(
+        "n, tables",
+        [case[1:] for case in SPLIT_TABLES],
+        ids=[case[0] for case in SPLIT_TABLES],
+    )
+    def test_unusual_tables_are_refused(self, n, tables, tmp_path):
+        # a fiber whose edges change order with e_n takes more than one
+        # template, so every export refuses the table before its first
+        # chunk and leaves no file
+        g = tables()
+        f = reference_split_fiber(g)
+        split = f"a color turns fiber {f} within itself or shares its target fiber"
+        for lines in (colored_edges, dot_lines, json_lines):
+            assert outcome(next, lines(g)) == split
+        path = tmp_path / "g.out"
+        for fmt in ("dot", "json"):
+            assert outcome(write_export, g, fmt, str(path)) == split
+            assert not path.exists()
+
+    def test_exports_of_a_table_without_edges(self):
+        # every generator fixes every vertex: no edge records at all
+        g = FlipGraph(3, [array("i", range(56))] * 4)
+        steps = [list(step) for step in g.steps]
+        assert list(colored_edges(g)) == []
+        assert "".join(dot_lines(g)) == reference_dot(3, steps)
+        text = "".join(json_lines(g))
+        assert text == reference_json(3, steps)
+        assert json.loads(text)["edges"] == []
 
     def test_json_vertex_records(self, g3):
         doc = json.loads("".join(json_lines(g3)))
