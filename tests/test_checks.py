@@ -458,17 +458,41 @@ def join_two_vertices_of_one_level(steps, n):
     steps[1][7], steps[1][42] = 42, 7
 
 
+def join_the_ends_of_a_wrap_by_s1(steps, n):
+    # s_1 fixes ids 0 and 48, whose e_n are 0 and n+3: an s_1 edge
+    # between them has the shape of a wrap, but only s_n's are wraps
+    steps[1][0], steps[1][48] = 48, 0
+
+
 @pytest.mark.parametrize(
     "breakage, error",
     [
         (swap_two_s1_edges, "31 join-irreducibles, not the top length 30"),
         (join_two_vertices_of_one_level, "Hasse edge 42-7 joins levels 3 and 3"),
+        (join_the_ends_of_a_wrap_by_s1, "31 join-irreducibles, not the top length 30"),
     ],
 )
 def test_lattice_rows_read_the_step_tables(monkeypatch, breakage, error):
     broken_tables(monkeypatch, breakage)
     for name in ("order-closure", "meet-join", "duality"):
         assert row(name) == ("FAIL", error)
+
+
+@pytest.mark.parametrize(
+    "swap, error",
+    [
+        # dual(a) = b' and dual(b) = a' for a and b of length 3: lengths
+        # still complement, but dual(dual(a)) = b
+        ({(1, 1, 0, 0): (0, 0, 1, 0), (0, 0, 1, 0): (1, 1, 0, 0)},
+         "dual not an involution at (0, 0, 1, 0)"),
+        # dual(bottom) = bottom, an involution there but of length 0
+        ({BOTTOM: TOP}, f"dual length complement fails at {BOTTOM}"),
+    ],
+)
+def test_duality_catches_a_wrong_dual(monkeypatch, swap, error):
+    dual = reps.dual
+    monkeypatch.setattr(reps, "dual", lambda r, n: dual(swap.get(r, r), n))
+    assert row("duality") == ("FAIL", error)
 
 
 def test_each_ideal_has_as_many_members_as_its_rep_has_length():
@@ -710,6 +734,25 @@ def test_rep_phi_correspondence_catches_a_wrong_inverse(monkeypatch):
         reps, "phi_to_rep", lambda v: BOTTOM if v == atom_phi else phi_to_rep(v)
     )
     assert row("rep-phi-correspondence") == ("FAIL", f"phi_to_rep not inverse at {ATOM}")
+
+
+def test_rep_phi_correspondence_catches_two_reps_on_one_vector(monkeypatch):
+    # rep -> phi is then not injective, and no left inverse can exist:
+    # phi_to_rep sends the shared vector back to the bottom, not ATOM
+    rep_to_phi = reps.rep_to_phi
+    monkeypatch.setattr(
+        reps, "rep_to_phi", lambda r, n: rep_to_phi(BOTTOM if r == ATOM else r, n)
+    )
+    assert row("rep-phi-correspondence") == ("FAIL", f"phi_to_rep not inverse at {ATOM}")
+
+
+def test_rep_phi_correspondence_builds_no_vertex_list(monkeypatch):
+    # each fiber is built from its head bits, one at a time
+    def refused(n):
+        raise AssertionError("all_reps called")
+
+    monkeypatch.setattr(reps, "all_reps", refused)
+    assert checks.check_rep_phi_correspondence(6)[0]
 
 
 # -- lower-bound draws vertex ids

@@ -270,6 +270,16 @@ class TestVerify:
         )
         assert child_peak(body) < 38 * 1024
 
+    def test_n12_rep_phi_correspondence_holds_one_fiber_at_a_time(self):
+        # slicing fibers out of all reps and keeping a set of every phi
+        # vector peaked at 48 MiB; built from head bits, one fiber at a
+        # time, it takes 22 MiB
+        body = (
+            "from tftflip.checks import check_rep_phi_correspondence\n"
+            "code = 0 if check_rep_phi_correspondence(12)[0] else 1\n"
+        )
+        assert child_peak(body) < 32 * 1024
+
     def test_geometry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "-n", "2", "--suite", "geometry")
         assert code == 0
