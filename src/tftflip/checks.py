@@ -603,18 +603,19 @@ SUITES: list[Check] = [
     # exponential time: 0.04 s at n = 11, 0.53 s at n = 14, 3.1 s at 16
     Check("rank-polynomial", "lattice", 6, check_rank_polynomial),
     Check("graph-description", "graph", 5, check_graph_description),
-    # 20 BFS sources over the step tables: 5.7 s at n = 11, 14 s at
-    # n = 12, 32 s at n = 13, under 50 MiB; held below 12, where the
-    # whole graph suite is skipped
+    # 20 BFS sources over the step tables: alone, 1.2-1.4 s at n = 11
+    # and 2.9 s at n = 12, under 50 MiB; held below 12, where the whole
+    # graph suite is skipped
     Check("distance-formula", "graph", 11, check_distance_formula, min_n=3),
     # one bit-parallel BFS sweep from all rotation orbits, one integer
     # per fiber; alone in a process (VmHWM): 0.13 s / 18 MiB at n = 9,
     # 0.53 s / 22 MiB at n = 10, 1.8-2.2 s / 37 MiB at n = 11, 7.8-9.7 s
     # / 96 MiB at n = 12; test_graph_suite_is_capped_at_n12 holds it at 11
     Check("diameter-bfs", "graph", 11, check_diameter, min_n=3),
-    # one formula call per difference class: 0.51 s at n = 9, 1.6 s at
-    # n = 10, 6.9 s at n = 11, 23 s at n = 12, 17 MiB; held at 11 by
-    # that test
+    # one dynamic program over the formula's walk and a formula call
+    # per maximizing walk: alone, 0.8 ms at n = 6, 2.3 ms at n = 9,
+    # 4.0 ms at n = 11, 29 s / 506 MiB at n = 128; held at 11 by that
+    # test
     Check("diameter-scan", "graph", 11, check_diameter_scan, min_n=3),
     Check("antipodes", "graph", 5, check_antipodes, min_n=3),
     Check("bipartition", "graph", 11, check_bipartition, min_n=3),  # n = 11: 0.20 s / 21 MiB

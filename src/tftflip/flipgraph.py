@@ -15,9 +15,10 @@ breadth-first search over the tables.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from itertools import chain, product, repeat
 from operator import floordiv, getitem, mod, or_
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import representatives as reps
 from .coxeter import reduced_word, word_to_affine
@@ -272,7 +273,10 @@ def distance_formula(r: Rep, s: Rep, n: int) -> int:
 
     Both vertices are rotated so that one lands in the zero fiber;
     the distance is then the smaller of the two rank spreads around
-    the fiber cycle.  Equals BFS distance (oracle-checked).
+    the fiber cycle, read in O(n) off the term table ``_terms(n)`` that
+    ``formula_scan_diameter`` reads too.  Equals BFS distance
+    (oracle-checked).  Bits given as floats pass ``check_rep`` but
+    raise ``TypeError`` here, as table indices.
     """
     if n < 3:
         raise ValueError("the closed-form distance requires n >= 3")
@@ -281,15 +285,27 @@ def distance_formula(r: Rep, s: Rep, n: int) -> int:
     return _distance(r, s, n)
 
 
+@lru_cache(maxsize=16)
+def _terms(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two terms a point k of ``_distance``'s walk adds, |k| to d1
+    and |n+4-k| to d2, as two columns over k = -n..2n+3, the points a
+    walk of n moves from 0..n+3 can reach; a negative k indexes from
+    the end."""
+    ks = [*range(2 * n + 4), *range(-n, 0)]
+    return tuple(map(abs, ks)), tuple(abs(n + 4 - k) for k in ks)
+
+
 def _distance(r: Rep, s: Rep, n: int) -> int:
-    """The body of :func:`distance_formula`, for checked arguments."""
-    delta = (r[n] - s[n]) % (n + 4)
-    d1, d2 = delta, n + 4 - delta  # the terms for the empty suffix
-    x = 0  # sum of (r_i - s_i) for i = j..n-1, j = n-1 down to 0
+    """The body of :func:`distance_formula`, for checked arguments: a
+    walk from k = (r_n - s_n) mod (n+4) that moves by r_i - s_i for
+    i = n-1 down to 0, each point adding its ``_terms``."""
+    near, far = _terms(n)
+    k = (r[n] - s[n]) % (n + 4)
+    d1, d2 = near[k], far[k]
     for i in range(n - 1, -1, -1):
-        x += r[i] - s[i]
-        d1 += abs(delta + x)
-        d2 += abs(n + 4 - delta - x)
+        k += r[i] - s[i]
+        d1 += near[k]
+        d2 += far[k]
     return min(d1, d2)
 
 
@@ -342,17 +358,65 @@ def _turn(x: int, shift: int, mask: int, left: int) -> int:
     return (x >> shift) | ((x & mask) << left)
 
 
+_D2 = (1 << 32) - 1  # a point of the scan packs its sums as d1 << 32 | d2
+
+
 def formula_scan_diameter(n: int) -> int:
-    """Largest closed-form distance over all pairs of vertices.  The
-    formula reads only r_i - s_i (i < n) and (r_n - s_n) mod (n+4), so
-    one pair per class in {-1,0,1}^n x Z_{n+4} covers every value."""
+    """Largest closed-form distance over all pairs of vertices, by one
+    dynamic program over ``_distance``'s walk: every start 0..n+3 and
+    move in {-1, 0, 1} is some pair's, and what a walk adds from a point
+    k on depends on k alone.  So each k keeps only the (d1, d2) sums no
+    other walk to k matches or beats in both (``_pareto``), and the
+    largest min(d1, d2) at the end is the maximum over all pairs.  Each
+    last point attaining it is walked back to a pair, on which
+    ``_distance`` must agree, else ``RuntimeError``.  Guarded by the
+    scan of one pair per difference class in the tests."""
     if n < 3:
         raise ValueError("the closed-form distance requires n >= 3")
-    pairs = (
-        (tuple(int(d > 0) for d in diffs), tuple(int(d < 0) for d in diffs) + (0,))
-        for diffs in product((-1, 0, 1), repeat=n)
-    )
-    return max(_distance(r + (delta,), s, n) for r, s in pairs for delta in range(n + 4))
+    near, far = _terms(n)
+    fronts = [{k: array("q", [near[k] << 32 | far[k]]) for k in range(n + 4)}]
+    for j in range(1, n + 1):
+        last, front = fronts[-1], {}
+        for k in range(-j, n + 4 + j):
+            add = near[k] << 32 | far[k]
+            points = chain(last.get(k - 1, ()), last.get(k, ()), last.get(k + 1, ()))
+            front[k] = array("q", _pareto([p + add for p in points]))
+        fronts.append(front)
+    best = max(min(p >> 32, p & _D2) for points in fronts[-1].values() for p in points)
+    for k, points in fronts[-1].items():
+        for p in points:
+            if min(p >> 32, p & _D2) == best:
+                r, s = _walk_back(fronts, k, p, n)
+                d = _distance(r, s, n)
+                if d != best:
+                    raise RuntimeError(
+                        f"formula gives {d} at {r}, {s}, a pair the scan puts at {best}"
+                    )
+    return best
+
+
+def _walk_back(fronts: list[dict[int, array]], k: int, p: int, n: int) -> tuple[Rep, Rep]:
+    """A pair whose walk ends at k with sums p: each step back takes off
+    k's terms and finds the rest at a neighbour h one step earlier, the
+    move h -> k being r_i - s_i; the start is delta = r_n, with s_n = 0."""
+    near, far = _terms(n)
+    r, s = [0] * n, [0] * n
+    for j in range(n, 0, -1):
+        p -= near[k] << 32 | far[k]
+        h = next(h for h in (k - 1, k, k + 1) if p in fronts[j - 1].get(h, ()))
+        r[n - j], s[n - j], k = int(k > h), int(k < h), h
+    return (*r, k), (*s, 0)
+
+
+def _pareto(points: Iterable[int]) -> list[int]:
+    """The packed points that no other point matches or beats in both
+    sums, d1 descending."""
+    front, top = [], -1
+    for p in sorted(points, reverse=True):
+        if p & _D2 > top:
+            front.append(p)
+            top = p & _D2
+    return front
 
 
 # -- antipodes, sign ------------------------------------------------

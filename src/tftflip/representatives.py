@@ -63,7 +63,7 @@ def check_rep(r: Sequence[int], n: int) -> Rep:
     bits = r[:n]
     if bits.count(0) + bits.count(1) != n:
         raise ValueError(f"exponents 0..{n - 1} must be bits: {r}")
-    if not 0 <= r[n] <= n + 3:
+    if not (isinstance(r[n], int) and 0 <= r[n] <= n + 3):
         raise ValueError(f"last exponent must be in 0..{n + 3}: {r}")
     return r
 

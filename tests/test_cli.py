@@ -170,11 +170,11 @@ class TestDiameter:
 
     @pytest.mark.parametrize(
         "method, n, answer, budget",
-        [("formula-scan", 8, 54, 3), ("bfs", 10, 77, 8)],
+        [("formula-scan", 11, 90, 1), ("bfs", 10, 77, 8)],
     )
     def test_verify_cost(self, capsys, method, n, answer, budget):
-        # a formula call per pair or a BFS per orbit source would take
-        # about 13 s and 20 s here
+        # a formula call per difference class or a BFS per orbit source
+        # would take about 8 s and 20 s here
         start = time.perf_counter()
         code, out, _ = run(capsys, "diameter", "-n", str(n), "--verify", method)
         assert time.perf_counter() - start < budget

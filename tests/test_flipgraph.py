@@ -2,9 +2,11 @@ import json
 import random
 from array import array
 from collections import Counter, defaultdict, deque
+from itertools import product
 
 import pytest
 
+from tftflip import flipgraph
 from tftflip import representatives as reps
 from tftflip.checks import run_suite
 from tftflip.coxeter import AffineMap, coxeter_length, gn_word, left_descents, word_to_affine
@@ -234,6 +236,22 @@ def reference_scan_diameter(n):
     """Largest closed-form distance, one formula call per pair."""
     rs = all_reps(n)
     return max(_distance(r, s, n) for i, r in enumerate(rs) for s in rs[i + 1 :])
+
+
+def reference_class_scan(n):
+    """Largest closed-form distance, one formula call per class in
+    {-1,0,1}^n x Z_{n+4}: the formula reads only r_i - s_i (i < n) and
+    (r_n - s_n) mod (n+4), so one pair per class covers every value."""
+    pairs = (
+        (tuple(int(d > 0) for d in diffs), tuple(int(d < 0) for d in diffs) + (0,))
+        for diffs in product((-1, 0, 1), repeat=n)
+    )
+    return max(_distance(r + (delta,), s, n) for r, s in pairs for delta in range(n + 4))
+
+
+def scan_row(n):
+    """The ``(status, detail)`` of the ``diameter-scan`` row at ``n``."""
+    return next((st, detail) for c, st, detail in run_suite(n, "graph") if c == "diameter-scan")
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +588,61 @@ class TestDiameter:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_class_scan_equals_the_pair_scan(self, n):
-        assert formula_scan_diameter(n) == reference_scan_diameter(n)
+        assert reference_class_scan(n) == reference_scan_diameter(n)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_dynamic_program_equals_the_class_scan(self, n):
+        assert formula_scan_diameter(n) == reference_class_scan(n)
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_dynamic_program_reaches_the_closed_form(self, n):
+        assert formula_scan_diameter(n) == diameter(n)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_scan_row_catches_a_wrong_term(self, monkeypatch, n):
+        # both sums +1 at the start of a walk to the antipode of the
+        # bottom; _distance reads the same table, so the scan still
+        # equals the class scan, and the closed form catches it
+        bottom = identity_rep(n)
+        top = antipode(bottom, n)
+        assert _distance(top, bottom, n) == diameter(n)
+        k, terms = top[n], flipgraph._terms
+        bump = lambda column: tuple(t + (h == k) for h, t in enumerate(column))
+        monkeypatch.setattr(flipgraph, "_terms", lambda n: tuple(map(bump, terms(n))))
+        scanned = reference_class_scan(n)
+        assert scanned > diameter(n)
+        assert scan_row(n) == ("FAIL", f"formula scan {scanned} != closed form {diameter(n)}")
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_scan_row_catches_a_wrong_distance_at_a_certificate(self, monkeypatch, n):
+        calls = []
+        distance = flipgraph._distance
+        # the scan calls _distance once per certificate, n + 1 of them
+        monkeypatch.setattr(
+            flipgraph, "_distance", lambda r, s, n: calls.append((r, s)) or distance(r, s, n)
+        )
+        formula_scan_diameter(n)
+        assert len(calls) == n + 1
+        r, s = calls[n // 2]
+        monkeypatch.setattr(
+            flipgraph, "_distance", lambda a, b, n: distance(a, b, n) + ((a, b) == (r, s))
+        )
+        d = diameter(n)
+        detail = f"formula gives {d + 1} at {r}, {s}, a pair the scan puts at {d}"
+        assert scan_row(n) == ("FAIL", detail)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_scan_row_catches_a_filter_that_drops_a_frontier_point(self, monkeypatch, n):
+        # a frontier's point with d1 == d2 is never dominated; the last
+        # frontiers' ones attain the maximum
+        pareto = flipgraph._pareto
+        monkeypatch.setattr(
+            flipgraph, "_pareto",
+            lambda points: [p for p in pareto(points) if p >> 32 != p & flipgraph._D2],
+        )
+        scanned = formula_scan_diameter(n)
+        assert scanned != reference_class_scan(n)
+        assert scan_row(n) == ("FAIL", f"formula scan {scanned} != closed form {diameter(n)}")
 
     def test_requires_n3(self):
         with pytest.raises(ValueError):

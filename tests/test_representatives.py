@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tftflip.coxeter import act_on_phi, base_vector, coxeter_length, word_to_affine
+from tftflip.flipgraph import antipode, distance_formula, vertex_id
 from tftflip.geometry import PhiVector, phi_inv
 from tftflip.representatives import (
     all_reps,
@@ -66,6 +67,23 @@ class TestBasics:
         with pytest.raises(ValueError) as exc:
             check_rep(r, n)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: distance_formula(r, (0, 0, 0, 0), 3),
+            lambda r: vertex_id(r, 3),
+            lambda r: dual(r, 3),
+            lambda r: antipode(r, 3),
+            lambda r: meet(r, (1, 1, 1, 6), 3),
+        ],
+        ids=["distance_formula", "vertex_id", "dual", "antipode", "meet"],
+    )
+    @pytest.mark.parametrize("last", [2.5, 3.0])
+    def test_a_non_integer_last_exponent_is_refused(self, call, last):
+        with pytest.raises(ValueError) as exc:
+            call((0, 0, 0, last))
+        assert str(exc.value) == f"last exponent must be in 0..6: (0, 0, 0, {last})"
 
     def test_text_form(self):
         assert parse_rep("1,0,1,2", 3) == (1, 0, 1, 2)
