@@ -58,7 +58,7 @@ def check_counting(n):
     invalid = [ct for ct in cts if not ct.is_valid()]
     if invalid:
         return False, f"{len(invalid)} enumerated triangulations invalid"
-    if len(set(cts)) != expected:
+    if len({ct.chords for ct in cts}) != expected:  # one n: the chords tell them apart
         return False, "duplicate triangulations enumerated"
     # key each chord set by one bit per chord {x, y}, x < y; the chords
     # of a valid triangulation are distinct, so their bits sum exactly
@@ -86,7 +86,7 @@ def check_short_chords(n):
 
 def check_phi_roundtrip(n):
     for ct in _shared(geometry.enumerate_ctft, n):
-        if geometry.phi_inv(ct.phi()) != ct:
+        if geometry.phi_inv(ct.phi()).chords != ct.chords:
             return False, f"phi roundtrip fails on {ct}"
     return True, "phi_inv . phi is the identity on all triangulations"
 
@@ -99,15 +99,17 @@ def _flip_tables(cts, n):
     Raises ``RuntimeError`` when ``cts`` holds a duplicate or a flip
     leaves it.
     """
+    # all of cts share n, so their chord tuples tell them apart, and
+    # tuples hash and compare in C
     index = {}
     for u, ct in enumerate(cts):
-        if index.setdefault(ct, u) != u:
+        if index.setdefault(ct.chords, u) != u:
             raise RuntimeError(f"{ct} enumerated twice")
     tables = []
     for i in range(n + 1):
         row = array("i")
         for ct in cts:
-            w = index.get(ct.flip(i))
+            w = index.get(ct.flip(i).chords)
             if w is None:
                 raise RuntimeError(f"flip {i} at {ct} leaves the enumeration")
             row.append(w)
@@ -559,17 +561,19 @@ def check_rotation_automorphism(n):
 # -- registry -------------------------------------------------------
 
 SUITES: list[Check] = [
-    # the triangulations share the chords of one table; alone in a
-    # process (VmHWM, 2 vCPU, Python 3.11), at n = 12 and 13: counting
-    # 3.4 s / 59 MiB and 10 s / 109 MiB; short-chords 1.0 s / 59 MiB and
-    # 2.7 s / 109 MiB; phi-roundtrip 1.0 s / 59 MiB and 3.4 s / 109 MiB.
+    # the triangulations share the chords of one table, and validation
+    # reads each disjoint pair off its crossing table; alone in a process
+    # (VmHWM, 2 vCPU, Python 3.11), at n = 11, 12 and 13: counting 0.9 s /
+    # 36 MiB, 1.7-2.3 s / 59 MiB and 3.2-3.9 s / 109 MiB; short-chords
+    # 0.3, 0.8 and 1.5-1.8 s; phi-roundtrip 0.4-0.5, 0.9-1.1 and 1.8-1.9 s.
     # n = 14 is held back by enumerate_ctft alone (170 MiB)
     Check("counting", "geometry", 13, check_counting),
     Check("short-chords", "geometry", 13, check_short_chords),
     Check("phi-roundtrip", "geometry", 13, check_phi_roundtrip),
     # one flip per validated triangulation and colour, read off the dual
-    # path; alone: 4.7 s / 36 MiB at n = 11, 8.7 s / 59 MiB at n = 12,
-    # 24 s / 109 MiB at n = 13; held at 13 as counting
+    # path and indexed by chord tuple; alone: 1.8-2.0 s / 36 MiB at
+    # n = 11, 3.5-3.6 s / 59 MiB at n = 12, 8.1-8.4 s / 109 MiB at n = 13;
+    # held at 13 as counting
     Check("flip-involution", "geometry", 13, check_flip_involution),
     # words composed from the flip graph's step tables: 2.6 s / 26 MiB
     # at n = 12, 6.7 s / 35 MiB at n = 13, 15 s / 57 MiB at n = 14, the
@@ -577,9 +581,9 @@ SUITES: list[Check] = [
     Check("relations", "coxeter", 14, check_relations),
     Check("stabilizer", "coxeter", 11, check_stabilizer),  # n = 11: 0.09 s / 18 MiB
     Check("volumes", "coxeter", 10, check_volumes),
-    # 0.54 s at n = 6, 3.7 s at n = 8; held at 5 because a cap of 6
-    # adds an ok row to verify -n 6, which perfbench/expected_verify.json
-    # pins
+    # alone: 0.03-0.04 s at n = 6, 0.21-0.24 s at n = 8; held at 5 because
+    # a cap of 6 adds an ok row to verify -n 6, which
+    # perfbench/expected_verify.json pins
     Check("action-vs-geometry", "coxeter", 5, check_action_matches_geometry),
     Check("generator-lengths", "coxeter", 10, check_generator_lengths),
     # the hyperplane count of every rep's map; _rep_maps realizes each

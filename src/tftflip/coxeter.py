@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mod
 from typing import Iterator, Sequence
 
 from . import representatives as reps
@@ -76,9 +78,9 @@ class AffineMap:
     def __post_init__(self):
         if sorted(self.cols) != list(range(self.n)):
             raise ValueError("cols must be a permutation")
-        if any(s not in (-1, 1) for s in self.signs):
+        if not all(map((-1, 1).__contains__, self.signs)):
             raise ValueError("signs must be +-1")
-        if any(t % 2 for t in self.shift):
+        if any(map(mod, self.shift, repeat(2))):
             raise ValueError("translation entries must be even")
 
     @staticmethod

@@ -275,8 +275,7 @@ def distance_formula(r: Rep, s: Rep, n: int) -> int:
     the distance is then the smaller of the two rank spreads around
     the fiber cycle, read in O(n) off the term table ``_terms(n)`` that
     ``formula_scan_diameter`` reads too.  Equals BFS distance
-    (oracle-checked).  Bits given as floats pass ``check_rep`` but
-    raise ``TypeError`` here, as table indices.
+    (oracle-checked).
     """
     if n < 3:
         raise ValueError("the closed-form distance requires n >= 3")

@@ -18,11 +18,11 @@ self-dual lower interval of the left weak order.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
-from operator import le, sub
+from itertools import accumulate, count, product
+from operator import le, mul, sub
 from typing import NamedTuple, Sequence
 
-from .geometry import PhiVector
+from .geometry import PhiVector, _are_bits
 
 __all__ = [
     "Rep",
@@ -60,8 +60,7 @@ def check_rep(r: Sequence[int], n: int) -> Rep:
     r = tuple(r)
     if len(r) != n + 1:
         raise ValueError(f"need {n + 1} exponents, got {len(r)}")
-    bits = r[:n]
-    if bits.count(0) + bits.count(1) != n:
+    if not _are_bits(r[:n]):
         raise ValueError(f"exponents 0..{n - 1} must be bits: {r}")
     if not (isinstance(r[n], int) and 0 <= r[n] <= n + 3):
         raise ValueError(f"last exponent must be in 0..{n + 3}: {r}")
@@ -105,7 +104,7 @@ def rep_length(r: Rep) -> int:
     a parabolic subgroup; cross-checked against the hyperplane-count
     oracle in the tests.
     """
-    return sum((j + 1) * e for j, e in enumerate(r))
+    return sum(map(mul, count(1), r))
 
 
 def rep_to_word(r: Rep) -> tuple[int, ...]:

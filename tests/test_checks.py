@@ -208,8 +208,8 @@ def test_flip_involution_flips_each_triangulation_once_per_color(monkeypatch):
 def test_flip_involution_validates_only_the_enumerated_triangulations(monkeypatch):
     # validity is computed once per enumerated triangulation and never on
     # a flipped candidate: every candidate equals an enumerated one, so a
-    # second validation would count it twice.  The crossing test runs on
-    # the chord pairs that share no end, counted here from the chords
+    # second validation would count it twice.  The crossing table is read
+    # once per chord pair that shares no end, counted here from the chords
     n = 5
     cts = geometry.enumerate_ctft(n)
     disjoint = sum(not c1 & c2 for ct in cts for c1, c2 in combinations(ct.chords, 2))
@@ -222,7 +222,15 @@ def test_flip_involution_validates_only_the_enumerated_triangulations(monkeypatc
     prop = cached_property(counting)
     prop.__set_name__(geometry.ColoredTriangulation, "_violations")
     monkeypatch.setattr(geometry.ColoredTriangulation, "_violations", prop)
-    pairs = counted(monkeypatch, geometry, "chords_cross")
+    pairs = []
+
+    class Lookups(dict):
+        def __getitem__(self, chord):
+            pairs.append(chord)
+            return super().__getitem__(chord)
+
+    table = Lookups(geometry._crossing(n + 4))
+    monkeypatch.setattr(geometry, "_crossing", {n + 4: table}.__getitem__)
     assert checks.check_flip_involution(n)[0]
     assert Counter(validated) == dict.fromkeys(cts, 1)
     assert len(pairs) == disjoint < len(cts) * 15

@@ -1,11 +1,14 @@
 import math
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
 from tftflip.geometry import (
     ColoredTriangulation,
     PhiVector,
+    _chords,
+    _crossing,
     all_phi_vectors,
     chords_cross,
     enumerate_ctft,
@@ -54,6 +57,86 @@ def brute_force_triangulations(m):
     return dict(tri(list(range(m))))
 
 
+def reference_violations(ct):
+    """The validation predicate with one ``chords_cross`` call per pair of
+    disjoint chords: the reference for ``ColoredTriangulation._violations``,
+    which reads each such pair off the crossing table ``_crossing``."""
+    n, m = ct.n, ct.n + 4
+    chords = set(ct.chords)
+    if len(ct.chords) != n + 1:
+        return (f"wrong chord count: {len(ct.chords)} != {n + 1}",)
+    if len(chords) != n + 1:
+        return ("duplicate chords",)
+    inner = set()
+    for c1, c2 in combinations(ct.chords, 2):
+        if not c1.isdisjoint(c2):
+            if c1 ^ c2 in chords:
+                inner.add(tuple(sorted(c1 | c2)))
+        elif chords_cross(c1, c2, m):
+            return (f"crossing chords {sorted(c1)} and {sorted(c2)}",)
+    out = [f"inner triangle {list(t)} with three chord sides" for t in sorted(inner)]
+    if not is_short(ct.chords[0], m):
+        out.append("chord 0 is not short")
+    else:
+        boundary = {frozenset((v, (v + 1) % m)) for v in range(m)}
+        for i in range(1, n + 1):
+            side = ct.chords[i - 1] ^ ct.chords[i]
+            if side not in chords and side not in boundary:
+                out.append(f"improper coloring: chord {i} shares no triangle with chord {i - 1}")
+                break
+    return tuple(out)
+
+
+def all_chords(m):
+    return [frozenset((x, y)) for x, y in combinations(range(m), 2) if 1 < y - x < m - 1]
+
+
+def random_triangulation(m, rng):
+    """The chords of a triangulation of the m-gon, split at random apexes:
+    with or without inner triangles."""
+    chords, stack = [], [list(range(m))]
+    while stack:
+        vertices = stack.pop()
+        if len(vertices) < 3:
+            continue
+        k = rng.randrange(1, len(vertices) - 1)
+        for a, b in ((vertices[0], vertices[k]), (vertices[k], vertices[-1])):
+            if (b - a) % m not in (1, m - 1):
+                chords.append(frozenset((a, b)))
+        stack += [vertices[: k + 1], vertices[k:]]
+    return chords
+
+
+def random_chord_tuples(n, count, rng):
+    """``count`` chord tuples for n, cycling through six kinds: random
+    chords; a random triangulation in random order; and a valid colored
+    one with two chords swapped, one chord replaced at random, one chord
+    dropped or added, or left as it is."""
+    m, cts, pool = n + 4, enumerate_ctft(n), all_chords(n + 4)
+    for k in range(count):
+        kind = k % 6
+        if kind == 0:
+            yield tuple(rng.choice(pool) for _ in range(n + 1))
+            continue
+        if kind == 1:
+            chords = random_triangulation(m, rng)
+            rng.shuffle(chords)
+            yield tuple(chords)
+            continue
+        chords = list(rng.choice(cts).chords)
+        i, j = rng.sample(range(n + 1), 2)
+        if kind == 2:
+            chords[i], chords[j] = chords[j], chords[i]
+        elif kind == 3:
+            chords[i] = rng.choice(pool)
+        elif kind == 4:
+            if rng.random() < 0.5:
+                del chords[i]
+            else:
+                chords.insert(i, rng.choice(pool))
+        yield tuple(chords)
+
+
 class TestChords:
     def test_short(self):
         assert is_short(frozenset((6, 1)), 7)
@@ -64,6 +147,16 @@ class TestChords:
         assert chords_cross(frozenset((0, 2)), frozenset((1, 3)), 7)
         assert not chords_cross(frozenset((0, 2)), frozenset((2, 4)), 7)
         assert not chords_cross(frozenset((0, 2)), frozenset((3, 5)), 7)
+
+    @pytest.mark.parametrize("m", range(5, 18))
+    def test_crossing_table_equals_the_predicate(self, m):
+        chords, table = all_chords(m), _crossing(m)
+        assert set(table) == set(chords)
+        for c in chords:
+            assert table[c] == {d for d in chords if chords_cross(c, d, m)}
+        # keyed by the shared chord objects, which the triangulations hold
+        shared = {id(c) for row in _chords(m) for c in row if c}
+        assert {id(c) for c in table} == shared
 
     def test_adjacent_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +252,23 @@ class TestValidate:
                         ct.phi()
         cts = enumerate_ctft(n)
         assert len(valid) == len(cts) and set(valid) == {ct.chords for ct in cts}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_validation_equals_the_pairwise_predicate(self, n):
+        for ct in enumerate_ctft(n):
+            assert ct.violations() == [] and reference_violations(ct) == ()
+        if n == 1:
+            return
+        # every kind of violation occurs, and valid tuples too
+        kinds = ("wrong chord count", "duplicate", "crossing", "inner triangle",
+                 "chord 0 is not short", "improper coloring")
+        rng, seen = random.Random(7000 + n), set()
+        for chords in random_chord_tuples(n, 3000, rng):
+            ct = ColoredTriangulation(n, chords)
+            assert ct._violations == reference_violations(ct), ct
+            seen.update(k for k in kinds for v in ct.violations() if v.startswith(k))
+            seen.update(("valid",) if ct.is_valid() else ())
+        assert seen == {"valid", *kinds}
 
     def test_wrong_count_reported(self):
         ct = ColoredTriangulation(3, T0.chords[:3])

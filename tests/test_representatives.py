@@ -85,6 +85,43 @@ class TestBasics:
             call((0, 0, 0, last))
         assert str(exc.value) == f"last exponent must be in 0..6: (0, 0, 0, {last})"
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: check_rep(r, 3),
+            lambda r: rep_to_phi(r, 3),
+            lambda r: distance_formula(r, (0, 0, 0, 0), 3),
+            lambda r: vertex_id(r, 3),
+            lambda r: dual(r, 3),
+            lambda r: antipode(r, 3),
+            lambda r: meet(r, (1, 1, 1, 6), 3),
+            lambda r: covers(r, 3),  # the one caller of rep_length that checks
+        ],
+        ids=["check_rep", "rep_to_phi", "distance_formula", "vertex_id", "dual", "antipode",
+             "meet", "covers"],
+    )
+    @pytest.mark.parametrize("bit", [1.0, 0.0])
+    def test_a_float_bit_is_refused(self, call, bit):
+        # equal to a bit is not enough: the exponent must be the integer
+        r = (0, 0, bit, 2)
+        with pytest.raises(ValueError) as exc:
+            call(r)
+        assert str(exc.value) == f"exponents 0..2 must be bits: {r}"
+
+    def test_rep_length_of_checked_reps_is_an_int(self):
+        # rep_length does no checking of its own; it reads checked reps,
+        # and check_rep refuses the float twin (0, 0, 1.0, 2) (see above)
+        length = rep_length(check_rep((0, 0, 1, 2), 3))
+        assert (length, type(length)) == (11, int)
+
+    @pytest.mark.parametrize("bits", [(0, 1.0, 0), (0.0, 0, 0), (0, 1, 0.5), ("0", 1, 0), "010"])
+    def test_phi_vector_refuses_bits_that_are_not_integers(self, bits):
+        with pytest.raises(ValueError) as exc:
+            PhiVector(3, 0, bits)
+        assert str(exc.value) == f"need 3 bits in {{0,1}}, got {bits}"
+        with pytest.raises(ValueError):
+            phi_inv(PhiVector(3, 0, bits))
+
     def test_text_form(self):
         assert parse_rep("1,0,1,2", 3) == (1, 0, 1, 2)
         assert format_rep((1, 0, 1, 2)) == "1,0,1,2"
