@@ -40,7 +40,7 @@ def cmd_count(args) -> int:
 def cmd_graph(args) -> int:
     g = flipgraph.build_graph(args.n)
     flipgraph.write_export(g, args.format, args.output)
-    print(f"wrote {args.format} export of {len(g.steps[0])} vertices to {args.output}")
+    print(f"wrote {args.format} export of {(args.n + 4) << args.n} vertices to {args.output}")
     return 0
 
 

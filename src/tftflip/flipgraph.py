@@ -2,23 +2,30 @@
 
 A vertex is an exponent-vector representative, and its id is its index
 in the lexicographic order of ``all_reps(n)``: bits * (n+4) + e_n, where
-bits reads e_0 .. e_{n-1} with e_0 the most significant bit.  The graph
-is one step table per generator color, ``steps[i][v]`` the id of s_i v,
-read off the generator action of ``representatives``; a generator that
+bits reads e_0 .. e_{n-1} with e_0 the most significant bit.  The ids
+that share their bits form a fiber, F*m .. F*m + m-1 with m = n+4, and
+stepping e_n by +1 mod m is an automorphism of the graph, so the graph
+is stored as the derived graph of a Z/m voltage graph on the 2^n fibers
+(Gross & Tucker, *Topological Graph Theory*, ch. 2): per generator
+color, the image fiber and turn of each fiber, read off the generator
+action of ``representatives``.  The per-vertex step tables, ``steps[i][v]``
+the id of s_i v, are derived from them on first use; a generator that
 fixes a vertex maps it to itself and contributes no edge.  The simple
 underlying graph is the Hasse diagram of the dominance lattice plus one
 "wrap" edge per choice of the first n-1 bits, and carries an exact
 distance formula and closed-form diameter, both cross-checked against
-breadth-first search over the tables.
+breadth-first search over the graph.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
-from functools import lru_cache
-from itertools import chain, product, repeat
-from operator import floordiv, getitem, mod, or_
-from typing import Iterable, Iterator, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain, product
+from operator import or_
+from typing import Iterable, Iterator
 
 from . import representatives as reps
 from .coxeter import reduced_word, word_to_affine
@@ -30,7 +37,6 @@ __all__ = [
     "vertex_id",
     "vertex_rep",
     "colored_edges",
-    "rotation_defect",
     "bfs_distances",
     "bfs_distance",
     "distance_formula",
@@ -47,62 +53,77 @@ __all__ = [
 ]
 
 
-# The step tables take 4 bytes per vertex and color (18 MiB at n = 14),
-# and the exports stream from them.  Measured at n = 14, one process each
-# (2 vCPU, Python 3.11): build_graph 0.25 s / 41 MiB; tft graph
-# --format json 1.3-1.8 s / 42 MiB for a 98 MB file, --format dot
-# 1.0-1.5 s / 42 MiB for a 122 MB file, the peak set by the doubled
-# fiber blocks of the layout check.  Time and file size double per step
-# of n, so n = 20 would write a JSON file of over 6 GB.
+# The voltages take 5 bytes per fiber and color (1.2 MiB at n = 14), and
+# the exports stream from them alone; the step tables that the per-vertex
+# readers derive take 4 bytes per vertex and color (18 MiB at n = 14).
+# Measured at n = 14, one process each (2 vCPU, Python 3.11): tft graph
+# --format json 1.0-1.1 s / 21 MiB for a 98 MB file, --format dot
+# 0.8-1.0 s / 22 MiB for a 122 MB file; bfs_distance to the antipode
+# 0.8 s / 38-39 MiB.  Time and file size double per step of n, so n = 20
+# would write a JSON file of over 6 GB.
 MAX_GRAPH_N = 14
 
 
-class FlipGraph(NamedTuple):
-    """The flip graph: ``steps[i][v]`` is the id of s_i v."""
+@dataclass(frozen=True)
+class FlipGraph:
+    """The flip graph as a voltage graph: ``images[i] = (heads, turns)``,
+    2^n entries each, says that s_i sends id F*m + e (m = n+4) to
+    heads[F]*m + (turns[F] + e) mod m."""
 
     n: int
-    steps: list[array]
+    images: list[tuple[array, bytes]]
+
+    @cached_property
+    def steps(self) -> list[array]:
+        """``steps[i][v]``, the id of s_i v, for the per-vertex readers,
+        derived on first use: each fiber appends its image fiber's block
+        of ``array("i")`` bytes, or two slices of it where the turn is not
+        0.  The fiber readers never build it."""
+        m, width = self.n + 4, struct.calcsize("i")
+        # struct packs a range about 2.5 times faster than array("i") reads it
+        data = struct.pack(f"{m << self.n}i", *range(m << self.n))
+        blocks = [data[v : v + m * width] for v in range(0, len(data), m * width)]
+        steps = []
+        for heads, turns in self.images:
+            step = array("i")
+            for h, t in zip(heads, turns):
+                block = blocks[h]
+                if t:
+                    step.frombytes(block[t * width :])
+                    block = block[: t * width]
+                step.frombytes(block)
+            steps.append(step)
+        return steps
 
 
 def build_graph(n: int) -> FlipGraph:
-    """One step table per generator color, read off
-    ``representatives._apply_generator`` at the head of each fiber: the
-    e_n = 0 vertex of the n+4 ids that share their first n exponents,
-    in ``product`` order.  No s_i reads e_n and s_n steps it by +-1
-    modulo n+4, so s_i maps a fiber onto one fiber turned by the image
-    of its head.  The image is the head itself (a fixed coset), another
-    head, or a turned fiber, whose ids are two slices of the image
-    fiber's block; each table appends its fibers' blocks of
-    ``array("i")`` bytes in order.  Guarded by the per-vertex sweep
+    """The image fiber and turn of each color and fiber, read off
+    ``representatives._apply_generator`` at the fiber's head, its
+    e_n = 0 vertex, in ``product`` order.  No s_i reads e_n and s_n steps
+    it by +-1 modulo n+4, so s_i maps a fiber onto one fiber turned by
+    the image of its head: the head itself (a fixed coset), another head
+    (turn 0), or a turned fiber's vertex.  Guarded by the per-vertex sweep
     ``TestStepTables::test_tables_equal_the_generator_sweep`` and by
     ``action-vs-geometry`` and ``rotation-automorphism``.  Bounded by
     ``MAX_GRAPH_N`` to fit in memory.
     """
     if not 2 <= n <= MAX_GRAPH_N:
         raise ValueError(f"graph construction supports 2 <= n <= {MAX_GRAPH_N}")
-    m = n + 4
     heads = [bits + (0,) for bits in product((0, 1), repeat=n)]
-    index = {head: k for k, head in enumerate(heads)}
-    ids = array("i", range(m << n))
-    width, size = ids.itemsize, m * ids.itemsize
-    data = ids.tobytes()
-    blocks = [data[v : v + size] for v in range(0, len(data), size)]
-    steps = []
+    index = {head: f for f, head in enumerate(heads)}
+    fixed = array("i", range(len(heads)))
+    images = []
     for i in range(n + 1):
-        step = array("i")
-        for head, block in zip(heads, blocks):
+        targets, turns = fixed[:], bytearray(len(heads))
+        for f, head in enumerate(heads):
             s = reps._apply_generator(i, head, n)
             if s is not head:
-                k = index.get(s)
-                if k is None:
-                    image, cut = blocks[index[s[:n] + (0,)]], s[n] * width
-                    step.frombytes(image[cut:])
-                    block = image[:cut]
-                else:
-                    block = blocks[k]
-            step.frombytes(block)
-        steps.append(step)
-    return FlipGraph(n, steps)
+                h = index.get(s)
+                if h is None:
+                    h, turns[f] = index[s[:n] + (0,)], s[n]
+                targets[f] = h
+        images.append((targets, bytes(turns)))
+    return FlipGraph(n, images)
 
 
 def vertex_id(r: Rep, n: int) -> int:
@@ -138,52 +159,17 @@ def colored_edges(g: FlipGraph) -> Iterator[tuple[int, int, int]]:
                 yield u, g.steps[c][u], c
 
 
-def _layout(g: FlipGraph) -> tuple[list[tuple[array, bytes]], str | None]:
-    """The fiber F' and turn t of step[F*m] = F'*m + t (m = n+4), as two
-    sequences indexed by F, of each color up to the first that does not
-    commute with rotating e_n, and its defect or None.  A table commutes
-    exactly when it equals its layout, F*m + e sent to F'*m + (t + e)
-    mod m, built from byte slices; they agree at the heads, so the first
-    id w where they differ is no head and the first defect is at w - 1."""
-    m, width = g.n + 4, g.steps[0].itemsize
-    doubled = [array("i", range(b, b + m)).tobytes() * 2 for b in range(0, len(g.steps[0]), m)]
-    cuts = [slice(t * width, (t + m) * width) for t in range(m)]
-    images = []
-    for i, step in enumerate(g.steps):
-        ends = step[::m]
-        heads, turns = array("i", map(floordiv, ends, repeat(m))), bytes(map(mod, ends, repeat(m)))
-        images.append((heads, turns))
-        layout, blocks = array("i"), map(doubled.__getitem__, heads)
-        for block in map(getitem, blocks, map(cuts.__getitem__, turns)):
-            layout.frombytes(block)
-        if layout != step:
-            w = next(v for v, (a, b) in enumerate(zip(step, layout)) if a != b)
-            return images, f"rotating e_n does not commute with s_{i} at vertex {w - 1}"
-    return images, None
-
-
 def _fiber_images(g: FlipGraph) -> list[tuple[array, bytes]]:
-    """The one reader of the fiber layout: ``_layout``'s F' and t of
-    every color once each table equals its layout and is an involution,
-    else ``RuntimeError``.  On the layout s_i s_i sends F*m + e to
-    F''*m + (t + t'' + e) mod m, so it fixes the fiber (F'' = F, t + t''
-    = 0 mod m) exactly when it fixes F*m, the first id it moves."""
-    images, defect = _layout(g)
-    if defect is not None:
-        raise RuntimeError(defect)
-    for i, step in enumerate(g.steps):
-        v = next((v for v in range(0, len(step), g.n + 4) if step[step[v]] != v), None)
-        if v is not None:
-            raise RuntimeError(f"s_{i} is not an involution at vertex {v}")
-    return images
-
-
-def rotation_defect(g: FlipGraph) -> str | None:
-    """Names the first color and id at which stepping e_n by +1 modulo
-    n+4 does not commute with the step table, or None when the rotation
-    is an automorphism of the colored graph, involution or not.  Guarded
-    by ``reference_rotation_defect`` on seeded rewires."""
-    return _layout(g)[1]
+    """The one checked reader of the voltages: ``g.images`` once every
+    color is an involution, else ``RuntimeError``.  s_i s_i sends F*m + e
+    to F''*m + (t + t'' + e) mod m, so it fixes the fiber (F'' = F,
+    t + t'' = 0 mod m) exactly when it fixes F*m, the first id it moves."""
+    m = g.n + 4
+    for i, (heads, turns) in enumerate(g.images):
+        for f, (h, t) in enumerate(zip(heads, turns)):
+            if heads[h] != f or (t + turns[h]) % m:
+                raise RuntimeError(f"s_{i} is not an involution at vertex {f * m}")
+    return g.images
 
 
 def _edge_runs(g: FlipGraph) -> list[tuple[int, tuple[int, ...]]]:
@@ -318,15 +304,14 @@ def diameter(n: int) -> int:
 def bfs_diameter(g: FlipGraph) -> int:
     """Largest eccentricity over all vertices of ``g``.
 
-    Rotating e_n is checked to be an automorphism, so one source per
-    rotation orbit (e_n = 0) reaches every eccentricity, and every step
-    table to be an involution, so a level may pull from neighbours.  All
-    sources run in one sweep with one integer per fiber F (ids F*m + e,
-    m = n+4): bit e*2^n + k of ``seen[F]`` says that the source with id
-    k*m has reached id F*m + e.  The rotation makes that layout exact:
-    ``step[F*m + e] = F'*m + (t + e) mod m`` with ``step[F*m] = F'*m +
-    t``, so a color pulls ``seen[F']`` rotated right by t fields of 2^n
-    bits, F' and t read off ``_fiber_images`` with both checks.  Guarded
+    Rotating e_n is an automorphism of the voltage graph, so one source
+    per rotation orbit (e_n = 0) reaches every eccentricity, and each
+    color is checked to be an involution, so a level may pull from
+    neighbours.  All sources run in one sweep with one integer per fiber
+    F (ids F*m + e, m = n+4): bit e*2^n + k of ``seen[F]`` says that the
+    source with id k*m has reached id F*m + e.  s_i sends F*m + e to
+    F'*m + (t + e) mod m, so a color pulls ``seen[F']`` rotated right by
+    t fields of 2^n bits, F' and t read off ``_fiber_images``.  Guarded
     by ``reference_bfs_diameter``, the per-vertex sweep, in the tests."""
     m, width = g.n + 4, 1 << g.n
     total = m * width
@@ -515,7 +500,7 @@ def dot_lines(g: FlipGraph) -> Iterator[str]:
     for f, colors in runs:
         unit, columns = "", []
         for c in colors:
-            h, t = divmod(g.steps[c][f * m], m)
+            h, t = g.images[c][0][f], g.images[c][1][f]
             unit += f'  "{heads[f]}%d" -- "{heads[h]}%d" [label="color={c}"];\n'
             columns += turned[:m], turned[t : t + m]
         yield unit * m % tuple(chain.from_iterable(zip(*columns)))
@@ -534,8 +519,9 @@ def json_lines(g: FlipGraph) -> Iterator[str]:
     (a - e) mod (n+4) and adds (n+1)*e to the length, one a_n factor per
     step.  So a fiber's vertex records are one ``%``-template, repeated
     n+4 times and filled from ``range`` and tuple-slice columns, and its
-    edge records one from ``range`` and ``steps[c]`` slices, colors in
-    ``_edge_runs`` order; no edges give ``"edges": []``.  A refused table
+    edge records one from ``range`` columns, each target column two of
+    them off the image fiber and turn, colors in ``_edge_runs`` order;
+    no edges give ``"edges": []``.  A refused table
     raises ``RuntimeError`` before the first line.  Guarded as
     ``dot_lines``, by ``test_exports_of_a_table_without_edges``, and at
     n = 12 by ``TestGraph::test_n12_json_export_streams_in_small_memory``.
@@ -557,8 +543,10 @@ def json_lines(g: FlipGraph) -> Iterator[str]:
     for f, colors in runs:
         unit = _NEXT.join(f'\n   "u": %d,\n   "v": %d,\n   "color": {c}\n' for c in colors)
         template = _NEXT.join([unit] * m)
-        u0 = f * m
-        columns = chain.from_iterable((range(u0, u0 + m), g.steps[c][u0 : u0 + m]) for c in colors)
+        u0, columns = f * m, []
+        for c in colors:
+            v0, t = g.images[c][0][f] * m, g.images[c][1][f]
+            columns += range(u0, u0 + m), chain(range(v0 + t, v0 + m), range(v0, v0 + t))
         yield sep + template % tuple(chain.from_iterable(zip(*columns)))
         sep = _NEXT
     yield "  }\n ]\n}\n" if sep == _NEXT else "]\n}\n"

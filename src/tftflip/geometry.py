@@ -121,13 +121,13 @@ class PhiVector:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not 0 <= self.a < self.n + 4:
+        if type(self.a) is not int or not 0 <= self.a < self.n + 4:  # not a float, nor a bool
             raise ValueError(f"center {self.a} out of range mod {self.n + 4}")
         if len(self.bits) != self.n or not _are_bits(self.bits):
             raise ValueError(f"need {self.n} bits in {{0,1}}, got {self.bits}")
 
     def __str__(self) -> str:
-        return f"{self.a}:" + "".join(str(b) for b in self.bits)
+        return f"{self.a}:" + "".join(map("%d".__mod__, self.bits))  # a bool bit as 0 or 1
 
 
 def parse_phi(text: str, n: int) -> PhiVector:

@@ -62,7 +62,7 @@ def check_rep(r: Sequence[int], n: int) -> Rep:
         raise ValueError(f"need {n + 1} exponents, got {len(r)}")
     if not _are_bits(r[:n]):
         raise ValueError(f"exponents 0..{n - 1} must be bits: {r}")
-    if not (isinstance(r[n], int) and 0 <= r[n] <= n + 3):
+    if not (type(r[n]) is int and 0 <= r[n] <= n + 3):  # not a float, nor a bool
         raise ValueError(f"last exponent must be in 0..{n + 3}: {r}")
     return r
 
@@ -94,7 +94,7 @@ def parse_rep(text: str, n: int) -> Rep:
 
 
 def format_rep(r: Rep) -> str:
-    return ",".join(str(e) for e in r)
+    return ",".join(map("%d".__mod__, r))  # a bool bit as 0 or 1
 
 
 def rep_length(r: Rep) -> int:

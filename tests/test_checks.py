@@ -277,6 +277,19 @@ def broken_tables(monkeypatch, breakage):
     monkeypatch.setattr(flipgraph, "build_graph", patched)
 
 
+def broken_images(monkeypatch, breakage):
+    """Make ``flipgraph.build_graph`` return voltages changed by
+    ``breakage``, from which the step tables are then derived."""
+    build_graph = flipgraph.build_graph
+
+    def patched(n):
+        g = build_graph(n)
+        breakage(g.images, n)
+        return g
+
+    monkeypatch.setattr(flipgraph, "build_graph", patched)
+
+
 def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
     # the vector test composes the step tables, so break one entry: s_1
     # fixes both the last vector and the base, and now sends the last
@@ -328,23 +341,30 @@ def join_fixed_vertices(steps, n):
     steps[1][0], steps[1][n + 4] = n + 4, 0
 
 
-@pytest.mark.parametrize(
-    "check", [checks.check_diameter, checks.check_rotation_automorphism]
-)
+@pytest.mark.parametrize("check", [checks.check_rotation_automorphism])
 def test_graph_checks_catch_a_table_without_rotation_symmetry(monkeypatch, check):
+    # only the derived step tables can hold such an edge; the per-vertex
+    # comparison with the generator action finds it
     name = next(c.name for c in checks.SUITES if c.run is check)
     assert row(name)[0] == "ok"
     broken_tables(monkeypatch, join_fixed_vertices)
-    assert row(name) == (
-        "FAIL", "rotating e_n does not commute with s_1 at vertex 0"
-    )
+    assert row(name) == ("FAIL", f"s_1 at vertex 0: table {N + 4} != generator 0")
 
 
-def assert_edge_readers_refuse(monkeypatch, capsys, tmp_path, breakage, defect):
-    """Every edge reader raises ``defect`` on the tables that ``breakage``
-    makes, before its first edge or chunk: no export file is written,
-    ``tft graph`` exits 1, and the edge rows FAIL with the same text."""
-    broken_tables(monkeypatch, breakage)
+def bottom_to_top(images, n):
+    # s_0 sends bits 0...0 to bits 1...1 with the same e_n, but s_0 s_0
+    # moves id 0
+    images[0][0][0] = (1 << n) - 1
+
+
+def test_edge_readers_refuse_a_table_that_is_not_an_involution(monkeypatch, capsys, tmp_path):
+    # each edge is read once, from its lower id, so a step that its own
+    # color does not undo would be dropped: 7 of the 91 edges at n = 3.
+    # Every edge reader raises before its first edge or chunk: no export
+    # file is written, tft graph exits 1, and the edge rows FAIL with the
+    # same text
+    defect = "s_0 is not an involution at vertex 0"
+    broken_images(monkeypatch, bottom_to_top)
     for lines in (flipgraph.colored_edges, flipgraph.dot_lines, flipgraph.json_lines):
         with pytest.raises(RuntimeError) as raised:
             next(lines(flipgraph.build_graph(N)))
@@ -361,32 +381,10 @@ def assert_edge_readers_refuse(monkeypatch, capsys, tmp_path, breakage, defect):
         assert row(name) == ("FAIL", defect)
 
 
-def test_edge_readers_refuse_a_table_without_rotation_symmetry(monkeypatch, capsys, tmp_path):
-    # the edges are read off the fiber heads, so a table that does not
-    # commute with the rotation stops every export before its file exists
-    defect = "rotating e_n does not commute with s_1 at vertex 0"
-    assert_edge_readers_refuse(monkeypatch, capsys, tmp_path, join_fixed_vertices, defect)
-
-
-def bottom_to_top(steps, n):
-    # s_0 sends bits 0...0 to bits 1...1 with the same e_n: still
-    # rotation-symmetric, but s_0 s_0 moves id 0
-    m = n + 4
-    for e in range(m):
-        steps[0][e] = ((1 << n) - 1) * m + e
-
-
-def test_edge_readers_refuse_a_table_that_is_not_an_involution(monkeypatch, capsys, tmp_path):
-    # each edge is read once, from its lower id, so a step that its own
-    # color does not undo would be dropped: 7 of the 91 edges at n = 3
-    defect = "s_0 is not an involution at vertex 0"
-    assert_edge_readers_refuse(monkeypatch, capsys, tmp_path, bottom_to_top, defect)
-
-
 def test_rotation_automorphism_holds_the_tables_to_the_generator_action(monkeypatch):
-    # build_graph reads the action at e_n = 0 only and fills each fiber
-    # by rotation, so tables that commute with it can still miss that
-    # s_1 stops moving the e_n = 3 vertices
+    # build_graph reads the action at e_n = 0 only and the step tables
+    # fill each fiber by rotation, so tables that commute with it can
+    # still miss that s_1 stops moving the e_n = 3 vertices
     act = reps._apply_generator
     monkeypatch.setattr(
         reps, "_apply_generator",
@@ -411,21 +409,32 @@ def test_distance_formula_catches_one_wrong_partner(monkeypatch):
 
 
 def test_diameter_bfs_catches_a_table_that_is_not_an_involution(monkeypatch):
-    broken_tables(monkeypatch, bottom_to_top)
+    broken_images(monkeypatch, bottom_to_top)
     assert row("diameter-bfs") == ("FAIL", "s_0 is not an involution at vertex 0")
 
 
-def freeze_ends(steps, n):
+def freeze_ends(images, n):
     # without s_0 and s_n no generator changes the number of ones
     for i in (0, n):
-        steps[i][:] = array("i", range(len(steps[i])))
+        images[i] = (array("i", range(1 << n)), bytes(1 << n))
+
+
+@pytest.mark.parametrize("breakage", [bottom_to_top, freeze_ends])
+def test_broken_voltages_derive_their_per_vertex_tables(monkeypatch, breakage):
+    # s_i sends v = F*m + e to heads[F]*m + (turns[F] + e) mod m
+    broken_images(monkeypatch, breakage)
+    g, m = flipgraph.build_graph(N), N + 4
+    assert [list(step) for step in g.steps] == [
+        [heads[v // m] * m + (turns[v // m] + v % m) % m for v in range(m << N)]
+        for heads, turns in g.images
+    ]
 
 
 DISCONNECTED = "flip graph is disconnected: invariant violated"
 
 
 def test_diameter_bfs_catches_a_disconnected_table(monkeypatch):
-    broken_tables(monkeypatch, freeze_ends)
+    broken_images(monkeypatch, freeze_ends)
     assert row("diameter-bfs") == ("FAIL", DISCONNECTED)
 
 
@@ -433,7 +442,7 @@ def test_a_point_query_leaves_a_split_away_from_its_pair_to_verify(monkeypatch, 
     # bfs_distance stops at its target, so it does not see that the
     # frozen tables split the graph elsewhere: its answer (s_1, then
     # s_2) is still exact, and verify's graph rows catch the split
-    broken_tables(monkeypatch, freeze_ends)
+    broken_images(monkeypatch, freeze_ends)
     argv = ["distance", "-n", str(N), "--from", "1,0,0,0", "--to", "0,0,1,0"]
     assert main(argv + ["--method", "bfs"]) == 0
     assert capsys.readouterr() == ("2\n", "")
@@ -444,7 +453,7 @@ def test_a_point_query_leaves_a_split_away_from_its_pair_to_verify(monkeypatch, 
 
 
 def test_stabilizer_catches_a_short_orbit(monkeypatch):
-    broken_tables(monkeypatch, freeze_ends)
+    broken_images(monkeypatch, freeze_ends)
     assert row("stabilizer") == ("FAIL", DISCONNECTED)
 
 
@@ -512,7 +521,7 @@ def test_each_ideal_has_as_many_members_as_its_rep_has_length():
 def test_rep_phi_correspondence_catches_a_word_left_at_the_base(monkeypatch):
     # the word of (0, 0, 0, 1) is s_3 s_2 s_1 s_0, and with both ends
     # frozen it leaves the identity rep where it is
-    broken_tables(monkeypatch, freeze_ends)
+    broken_images(monkeypatch, freeze_ends)
     assert row("rep-phi-correspondence") == (
         "FAIL", "rep (0, 0, 0, 1): word gives 0:000, closed form 6:000"
     )
@@ -622,7 +631,7 @@ def verify_rows(out):
 
 
 def test_verify_reports_every_row_on_a_disconnected_table(monkeypatch, capsys):
-    broken_tables(monkeypatch, freeze_ends)
+    broken_images(monkeypatch, freeze_ends)
     code = main(["verify", "-n", str(N)])
     out, err = capsys.readouterr()
     rows = verify_rows(out)
@@ -635,7 +644,7 @@ def test_verify_reports_every_row_on_a_disconnected_table(monkeypatch, capsys):
 
 @pytest.mark.parametrize("method", ["bfs", "both"])
 def test_distance_reports_a_disconnected_table_in_one_line(monkeypatch, capsys, method):
-    broken_tables(monkeypatch, freeze_ends)
+    broken_images(monkeypatch, freeze_ends)
     argv = ["distance", "-n", str(N), "--from", "0,0,0,0", "--to", "1,1,1,6"]
     assert main(argv + ["--method", method]) == 1
     assert capsys.readouterr() == ("", f"error: {DISCONNECTED}\n")

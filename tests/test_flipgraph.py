@@ -9,6 +9,7 @@ import pytest
 from tftflip import flipgraph
 from tftflip import representatives as reps
 from tftflip.checks import run_suite
+from tftflip.cli import main
 from tftflip.coxeter import AffineMap, coxeter_length, gn_word, left_descents, word_to_affine
 from tftflip.flipgraph import (
     FlipGraph,
@@ -24,7 +25,6 @@ from tftflip.flipgraph import (
     dot_lines,
     formula_scan_diameter,
     json_lines,
-    rotation_defect,
     shortest_representatives,
     sign,
     vertex_id,
@@ -128,20 +128,6 @@ def reference_json(n, steps=None):
     return json.dumps(doc, indent=1) + "\n"
 
 
-def reference_rotation_defect(g):
-    """The per-vertex comparison of each table before and after stepping
-    e_n by +1 modulo n+4: the first color and id where they differ."""
-    m = g.n + 4
-    rot = [v + 1 if v % m < m - 1 else v + 1 - m for v in range(len(g.steps[0]))]
-    for i, step in enumerate(g.steps):
-        after = [step[v] for v in rot]
-        before = [rot[v] for v in step]
-        if after != before:
-            v = next(v for v, (a, b) in enumerate(zip(after, before)) if a != b)
-            return f"rotating e_n does not commute with s_{i} at vertex {v}"
-    return None
-
-
 def reference_bfs_diameter(g):
     """The per-vertex sweep: bit k of ``seen[v]`` says that the source
     with id k*(n+4) has reached id v, and each level ORs in the sets of
@@ -160,22 +146,37 @@ def reference_bfs_diameter(g):
     return levels
 
 
+def reference_derived_steps(g):
+    """The step tables of ``g``'s voltages, one id at a time: v = F*m + e
+    goes to heads[F]*m + (turns[F] + e) mod m."""
+    m = g.n + 4
+    return [
+        [heads[v // m] * m + (turns[v // m] + v % m) % m for v in range(m << g.n)]
+        for heads, turns in g.images
+    ]
+
+
+def rewired(g, color, heads, turns):
+    """``g`` with the image fibers and turns of color ``color`` replaced."""
+    images = list(g.images)
+    images[color] = (array("i", heads), bytes(turns))
+    return FlipGraph(g.n, images)
+
+
 def turned(n, color, turn, half=False):
     """``build_graph(n)`` with color ``color`` rewired: each fiber it moves
     lands ``turn`` ids further round its image fiber, and its image fiber
-    ``turn`` ids back, so the table stays an involution that commutes with
-    rotating e_n.  ``half`` turns each fiber it fixes by (n+4)/2."""
+    ``turn`` ids back, so the color stays an involution.  ``half`` turns
+    each fiber it fixes by (n+4)/2."""
     g, m = build_graph(n), n + 4
+    heads, turns = g.images[color]
+    fixed = m // 2 if half else 0
+    turns = [
+        (t + (fixed if h == f else turn if f < h else -turn)) % m
+        for f, (h, t) in enumerate(zip(heads, turns))
+    ]
+    g = rewired(g, color, heads, turns)
     step = g.steps[color]
-    for head in range(0, len(step), m):
-        image = step[head] - step[head] % m
-        if image == head:
-            t = m // 2 if half else 0
-        else:
-            t = turn if head < image else -turn
-        for e in range(m):
-            step[head + e] = image + (step[head + e] + t) % m
-    assert rotation_defect(g) is None
     assert all(step[step[v]] == v for v in range(len(step)))
     return g
 
@@ -183,15 +184,14 @@ def turned(n, color, turn, half=False):
 def shared_target(n, turn=3):
     """``build_graph(n)`` with s_2 also joining fiber 0 (bits 0...0) to
     s_0's image of it, fiber 2^(n-1) (bits 10...0), turned by ``turn``:
-    s_2 fixes both fibers, so the table stays an involution that commutes
-    with rotating e_n, and two colors send fiber 0 to one fiber."""
-    g, m = build_graph(n), n + 4
-    b = m << (n - 1)
+    s_2 fixes both fibers, so the color stays an involution, and two
+    colors send fiber 0 to one fiber."""
+    g, m, b = build_graph(n), n + 4, 1 << (n - 1)
     step = g.steps[2]
-    assert (step[0], step[b], g.steps[0][0]) == (0, b, b)
-    for e in range(m):
-        step[e], step[b + (e + turn) % m] = b + (e + turn) % m, e
-    assert rotation_defect(g) is None
+    assert (step[0], step[b * m], g.steps[0][0]) == (0, b * m, b * m)
+    heads, turns = array("i", g.images[2][0]), bytearray(g.images[2][1])
+    heads[0], turns[0], heads[b], turns[b] = b, turn, 0, m - turn
+    g = rewired(g, 2, heads, turns)
     # which of s_0 and s_2 reaches the lower id changes at e_n = m - turn
     edges = sorted(reference_edges(g.steps))
     order = [[c for u, _, c in edges if u == e and c in (0, 2)] for e in range(m)]
@@ -199,9 +199,13 @@ def shared_target(n, turn=3):
     return g
 
 
-# tables that commute with the rotation but that build_graph never makes:
-# the fibers that s_c moves turned by +-2, each fiber's edges still in
-# one order
+def without_edges():
+    """Voltages in which every generator fixes every vertex at n = 3."""
+    return FlipGraph(3, [(array("i", range(8)), bytes(8))] * 4)
+
+
+# voltages that build_graph never makes: the fibers that s_c moves turned
+# by +-2, each fiber's edges still in one order
 UNUSUAL_TABLES = [
     (f"turn2-n{n}-s{c}", n, lambda n=n, c=c: turned(n, c, 2)) for n in (3, 5) for c in range(n + 1)
 ]
@@ -401,30 +405,38 @@ class TestStepTables:
             with pytest.raises(ValueError, match="representatives require n >= 2"):
                 call()
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_rotation_defect_equals_the_per_vertex_one(self, n):
-        # 50 seeded rewires per n: one or two entries set to random ids,
-        # some to the value they hold already, which leaves no defect
-        rng, size, found = random.Random(100 + n), (n + 4) << n, Counter()
-        for _ in range(50):
-            g = build_graph(n)
-            for _ in range(rng.choice((1, 2))):
-                step, v = rng.choice(g.steps), rng.randrange(size)
-                step[v] = step[v] if rng.random() < 0.2 else rng.randrange(size)
-            defect = rotation_defect(g)
-            assert defect == reference_rotation_defect(g)
-            found[defect is None] += 1
-        assert found[False] > 0 and found[True] > 0
+    @pytest.mark.parametrize(
+        "graph",
+        [lambda n=n: build_graph(n) for n in range(2, 10)]
+        + [case[2] for case in UNUSUAL_TABLES + SPLIT_TABLES]
+        + [without_edges],
+        ids=[f"n{n}" for n in range(2, 10)]
+        + [case[0] for case in UNUSUAL_TABLES + SPLIT_TABLES]
+        + ["without-edges"],
+    )
+    def test_derived_tables_equal_the_per_vertex_reading(self, graph):
+        g = graph()
+        assert [list(step) for step in g.steps] == reference_derived_steps(g)
 
-    def test_rotation_defect(self):
-        g = build_graph(4)
-        assert rotation_defect(g) is None
-        # s_2 fixes ids 0 and 8 (bits 0000 and 0001, e_4 = 0); join
-        # them by an s_2 edge that the rotated vertices 1 and 9 lack
-        g.steps[2][0], g.steps[2][8] = 8, 0
-        assert rotation_defect(g) == (
-            "rotating e_n does not commute with s_2 at vertex 0"
-        )
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_fiber_readers_never_build_the_step_tables(self, monkeypatch, tmp_path, n):
+        g = build_graph(n)
+        for fmt in ("json", "dot"):  # through dot_lines and json_lines
+            write_export(g, fmt, str(tmp_path / f"g.{fmt}"))
+        assert bfs_diameter(g) == diameter(n)
+        assert "steps" not in vars(g)
+        # nor does tft graph, which counts the vertices without them
+        built = []
+
+        def recorded(n):
+            built.append(build_graph(n))
+            return built[-1]
+
+        monkeypatch.setattr(flipgraph, "build_graph", recorded)
+        assert main(["graph", "-n", str(n), "-o", str(tmp_path / "g.dot")]) == 0
+        assert len(built) == 1 and "steps" not in vars(built[0])
+        g.steps  # a per-vertex reader builds them once, on the graph itself
+        assert "steps" in vars(g)
 
 
 class TestDistance:
@@ -472,7 +484,8 @@ class TestDistance:
 
         def counted_graph(n):
             g = build_graph(n)
-            return g._replace(steps=[Counted(step) for step in g.steps])
+            g.steps[:] = [Counted(step) for step in g.steps]
+            return g
 
         monkeypatch.setattr("tftflip.flipgraph.build_graph", counted_graph)
         ident = identity_rep(n)
@@ -550,17 +563,18 @@ class TestDiameter:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_involution_check_names_the_per_vertex_defect(self, n):
         # 20 seeded rewires per n: one or two fibers of a color sent to a
-        # random fiber and turn, which keeps the rotation symmetry; the
-        # sweep and the edge readers name the first color and id v with
-        # step[step[v]] != v, as the per-vertex check does
+        # random fiber and turn; the sweep and the edge readers name the
+        # first color and id v with step[step[v]] != v, as the per-vertex
+        # check does
         rng, m, found = random.Random(200 + n), n + 4, Counter()
         for _ in range(20):
             g = build_graph(n)
             for _ in range(rng.choice((1, 2))):
-                step, f = rng.choice(g.steps), rng.randrange(1 << n)
-                h, t = rng.randrange(1 << n), rng.randrange(m)
-                step[f * m : f * m + m] = array("i", (h * m + (t + e) % m for e in range(m)))
-            assert rotation_defect(g) is None
+                c, f = rng.randrange(n + 1), rng.randrange(1 << n)
+                heads, turns = array("i", g.images[c][0]), bytearray(g.images[c][1])
+                heads[f], turns[f] = rng.randrange(1 << n), rng.randrange(m)
+                g = rewired(g, c, heads, turns)
+            assert [list(step) for step in g.steps] == reference_derived_steps(g)
             defect = next(
                 (f"s_{i} is not an involution at vertex {v}"
                  for i, step in enumerate(g.steps) for v, w in enumerate(step) if step[w] != v),
@@ -830,7 +844,7 @@ class TestExports:
 
     def test_exports_of_a_table_without_edges(self):
         # every generator fixes every vertex: no edge records at all
-        g = FlipGraph(3, [array("i", range(56))] * 4)
+        g = without_edges()
         steps = [list(step) for step in g.steps]
         assert list(colored_edges(g)) == []
         assert "".join(dot_lines(g)) == reference_dot(3, steps)

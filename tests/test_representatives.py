@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tftflip.coxeter import act_on_phi, base_vector, coxeter_length, word_to_affine
 from tftflip.flipgraph import antipode, distance_formula, vertex_id
-from tftflip.geometry import PhiVector, phi_inv
+from tftflip.geometry import PhiVector, parse_phi, phi_inv
 from tftflip.representatives import (
     all_reps,
     apply_generator,
@@ -79,7 +79,7 @@ class TestBasics:
         ],
         ids=["distance_formula", "vertex_id", "dual", "antipode", "meet"],
     )
-    @pytest.mark.parametrize("last", [2.5, 3.0])
+    @pytest.mark.parametrize("last", [2.5, 3.0, True])
     def test_a_non_integer_last_exponent_is_refused(self, call, last):
         with pytest.raises(ValueError) as exc:
             call((0, 0, 0, last))
@@ -122,11 +122,28 @@ class TestBasics:
         with pytest.raises(ValueError):
             phi_inv(PhiVector(3, 0, bits))
 
+    @pytest.mark.parametrize("a", [1.0, True])
+    def test_phi_vector_refuses_a_center_that_is_not_an_int(self, a):
+        with pytest.raises(ValueError) as exc:
+            PhiVector(3, a, (0, 0, 0))
+        assert str(exc.value) == f"center {a} out of range mod 7"
+        with pytest.raises(ValueError):
+            phi_inv(PhiVector(3, a, (0, 0, 0)))
+
     def test_text_form(self):
         assert parse_rep("1,0,1,2", 3) == (1, 0, 1, 2)
         assert format_rep((1, 0, 1, 2)) == "1,0,1,2"
         with pytest.raises(ValueError):
             parse_rep("1 0 1 2", 3)
+
+    def test_text_forms_print_a_bool_bit_as_a_digit(self):
+        # bool bits pass as bits, and read back as equal integers
+        r = check_rep((True, 0, False, 2), 3)
+        assert format_rep(r) == "1,0,0,2"
+        assert parse_rep(format_rep(r), 3) == r
+        v = PhiVector(3, 0, (0, 1, True))
+        assert str(v) == "0:011"
+        assert parse_phi(str(v), 3) == v
 
 
 class TestLength:
