@@ -17,7 +17,8 @@ from collections import defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, compress, count, product, repeat
+from operator import add, eq, itemgetter, ne
 from typing import Callable
 
 from . import coxeter, flipgraph, geometry
@@ -39,12 +40,19 @@ class Check:
 _suite_inputs: ContextVar[dict] = ContextVar("suite_inputs")  # set by run_suite
 
 
-def _shared(build, n):
-    """``build(n)``, made once per suite while ``run_suite`` runs it."""
+def _shared(build, arg):
+    """``build(arg)`` of the suite's n or shared input, made once per suite."""
     inputs = _suite_inputs.get({})  # fresh when unset: a check run on its own builds its own
     if build not in inputs:
-        inputs[build] = build(n)
+        inputs[build] = build(arg)
     return inputs[build]
+
+
+def _first_difference(*pairs):
+    """The least (u, k) such that the columns of ``pairs[k]`` differ at
+    index u, else ``None``, reading each pair up to its first difference."""
+    firsts = ((next(compress(count(), map(ne, *pair)), None), k) for k, pair in enumerate(pairs))
+    return min((f for f in firsts if f[0] is not None), default=None)
 
 
 # -- geometry -------------------------------------------------------
@@ -84,10 +92,16 @@ def check_short_chords(n):
     return True, "every triangulation has exactly 2 short chords, colored 0 and n"
 
 
+def _phis(cts):
+    """``ct.phi()`` of each triangulation of ``cts``, in order."""
+    return [ct.phi() for ct in cts]
+
+
 def check_phi_roundtrip(n):
-    for ct in _shared(geometry.enumerate_ctft, n):
-        if geometry.phi_inv(ct.phi()).chords != ct.chords:
-            return False, f"phi roundtrip fails on {ct}"
+    cts = _shared(geometry.enumerate_ctft, n)
+    back = (geometry.phi_inv(v).chords for v in _shared(_phis, cts))
+    if fail := _first_difference((back, (ct.chords for ct in cts))):
+        return False, f"phi roundtrip fails on {cts[fail[0]]}"
     return True, "phi_inv . phi is the identity on all triangulations"
 
 
@@ -120,17 +134,19 @@ def _flip_tables(cts, n):
 def check_flip_involution(n):
     cts = _shared(geometry.enumerate_ctft, n)
     flips = _flip_tables(cts, n)
-    for u, ct in enumerate(cts):
-        bits = ct.phi().bits
-        for i in range(n + 1):
-            w = flips[i][u]
-            if flips[i][w] != u:
-                return False, f"flip {i} is not an involution at {ct}"
-            if i in (0, n) and w == u:
-                return False, f"flip {i} fixes {ct} (short chords never stick)"
-            fixed = 0 < i < n and bits[i - 1] == bits[i]
-            if (w == u) != fixed:
-                return False, f"flip {i} fixed-point rule fails at {ct}"
+    bits, pairs = [v.bits for v in _shared(_phis, cts)], []
+    for i, row in enumerate(flips):
+        # flipped twice it returns, and it stays exactly where bits i-1, i agree
+        fixed = map(eq, map(itemgetter(i - 1), bits), map(itemgetter(i), bits))
+        stays = map(eq, row, count())
+        pairs += (map(row.__getitem__, row), count()), (stays, fixed if 0 < i < n else repeat(0))
+    if fail := _first_difference(*pairs):
+        (i, involution), ct = divmod(fail[1], 2), cts[fail[0]]
+        if not involution:
+            return False, f"flip {i} is not an involution at {ct}"
+        if i in (0, n):
+            return False, f"flip {i} fixes {ct} (short chords never stick)"
+        return False, f"flip {i} fixed-point rule fails at {ct}"
     return True, "flips are involutions; fixed exactly when adjacent bits agree"
 
 
@@ -147,19 +163,21 @@ def _walk(steps, word, ids):
 
 
 def check_relations(n):
-    # each relation as an affine-map identity and as the identity
-    # permutation of the vertices, composed from the flip graph's step
-    # tables
-    rels = coxeter.relation_words(n)
-    steps = _shared(flipgraph.build_graph, n).steps
-    failures = []
+    # each relation as an affine-map identity, and walked on the voltages
+    # for all fibers F at once: it fixes every vertex exactly when each F
+    # returns with net turn 0 mod m, and an F that does not moves id F*m
+    rels, m = coxeter.relation_words(n), n + 4
+    images, failures = _shared(flipgraph.build_graph, n).images, []
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
             failures.append(f"{name} not the identity map")
-        image = _walk(steps, word, range(len(steps[0])))
-        moved = next((u for u, w in enumerate(image) if w != u), None)
-        if moved is not None:
-            vector = reps.rep_to_phi(flipgraph.vertex_rep(moved, n), n)
+        fibers, turns = range(1 << n), [0] * (1 << n)
+        for letter in reversed(word):
+            heads, turn = images[letter]
+            turns = list(map(add, turns, map(turn.__getitem__, fibers)))
+            fibers = list(map(heads.__getitem__, fibers))
+        if moved := _first_difference((fibers, count()), (map(m.__rmod__, turns), repeat(0))):
+            vector = reps.rep_to_phi(flipgraph.vertex_rep(moved[0] * m, n), n)
             failures.append(f"{name} moves vector {vector}")
     if failures:
         return False, "; ".join(failures)
@@ -198,15 +216,16 @@ def check_action_matches_geometry(n):
     # the triangulations in id order, both tables hold ids of ``vectors``
     vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
     flips = _flip_tables([geometry.phi_inv(v) for v in vectors], n)
-    steps = _shared(flipgraph.build_graph, n).steps
-    for u, v in enumerate(vectors):
-        for i in range(n + 1):
-            via_flip = vectors[flips[i][u]]
-            via_vector = coxeter.act_on_phi((i,), v)
-            if via_vector != via_flip:
-                return False, f"generator {i} on {v}: {via_vector} != {via_flip}"
-            if steps[i][u] != flips[i][u]:
-                return False, f"step table {i} on {v}: {vectors[steps[i][u]]} != {via_flip}"
+    steps, pairs = _shared(flipgraph.build_graph, n).steps, []
+    for i, (flip, step) in enumerate(zip(flips, steps)):
+        acts = map(coxeter.act_on_phi, repeat((i,)), vectors)
+        pairs += (acts, map(vectors.__getitem__, flip)), (step, flip)
+    if fail := _first_difference(*pairs):
+        (i, table), u = divmod(fail[1], 2), fail[0]
+        v, via_flip = vectors[u], vectors[flips[i][u]]
+        if not table:
+            return False, f"generator {i} on {v}: {coxeter.act_on_phi((i,), v)} != {via_flip}"
+        return False, f"step table {i} on {v}: {vectors[steps[i][u]]} != {via_flip}"
     return True, "the vector action is the phi-conjugate of the geometric flip"
 
 
@@ -260,10 +279,11 @@ def _rep_maps(n):
 
 
 def check_rep_lengths(n):
-    for r, m in zip(reps.all_reps(n), _shared(_rep_maps, n)):
-        oracle = coxeter.coxeter_length(m)
-        if oracle != reps.rep_length(r):
-            return False, f"rep {r}: formula {reps.rep_length(r)} != oracle {oracle}"
+    rs, oracle = reps.all_reps(n), list(map(coxeter.coxeter_length, _shared(_rep_maps, n)))
+    formula = list(map(reps.rep_length, rs))
+    if fail := _first_difference((formula, oracle)):
+        u = fail[0]
+        return False, f"rep {rs[u]}: formula {formula[u]} != oracle {oracle[u]}"
     return True, f"closed-form length matches the hyperplane oracle on all {(n + 4) * 2**n} reps"
 
 
@@ -453,15 +473,12 @@ def check_distance_formula(n):
     else:
         sources = random.Random(0).sample(range(len(rs)), 20)
         label = f"{20 * len(rs)} sampled"
-    pairs = 0
     for u in sources:
         dist = flipgraph.bfs_distances(g, u)
-        r = rs[u]
-        for v, s in enumerate(rs):
-            if flipgraph._distance(r, s, n) != dist[v]:  # rs holds valid reps
-                return False, f"formula != BFS at {r}, {s}"
-            pairs += 1
-    return True, f"closed-form distance equals BFS on {label} pairs ({pairs})"
+        formula = list(map(flipgraph._distance, repeat(rs[u]), rs, repeat(n)))  # valid reps
+        if formula != dist:
+            return False, f"formula != BFS at {rs[u]}, {rs[_first_difference((formula, dist))[0]]}"
+    return True, f"closed-form distance equals BFS on {label} pairs ({len(sources) * len(rs)})"
 
 
 def check_diameter(n):
@@ -547,12 +564,12 @@ def check_rotation_automorphism(n):
     # the step tables are derived from one image fiber and turn per color
     # and fiber, so they commute with the rotation by construction: equal
     # to the generator action at every vertex, they make it commute too
-    g = _shared(flipgraph.build_graph, n)
-    for u, r in enumerate(reps.all_reps(n)):
-        for i, step in enumerate(g.steps):
-            v = flipgraph.vertex_id(reps._apply_generator(i, r, n), n)
-            if step[u] != v:
-                return False, f"s_{i} at vertex {u}: table {step[u]} != generator {v}"
+    steps, rs = _shared(flipgraph.build_graph, n).steps, reps.all_reps(n)
+    act, ids = reps._apply_generator, flipgraph.vertex_id
+    gens = (map(ids, map(act, repeat(i), rs, repeat(n)), repeat(n)) for i in range(n + 1))
+    if fail := _first_difference(*zip(steps, gens)):
+        (u, i), v = fail, ids(act(fail[1], rs[fail[0]], n), n)
+        return False, f"s_{i} at vertex {u}: table {steps[i][u]} != generator {v}"
     return True, "right multiplication by a_n is a graph automorphism"
 
 
@@ -563,19 +580,20 @@ SUITES: list[Check] = [
     # reads each disjoint pair off its crossing table; alone in a process
     # (VmHWM, 2 vCPU, Python 3.11), at n = 11, 12 and 13: counting 0.9 s /
     # 36 MiB, 1.7-2.3 s / 59 MiB and 3.2-3.9 s / 109 MiB; short-chords
-    # 0.3, 0.8 and 1.5-1.8 s; phi-roundtrip 0.4-0.5, 0.9-1.1 and 1.8-1.9 s.
-    # n = 14 is held back by enumerate_ctft alone (170 MiB)
+    # 0.2, 0.45 and 1.2 s; phi-roundtrip 0.35, 1.1-1.3 and 2.1-2.2 s; the
+    # suite's phi vectors raise its peak to 67 and 125 MiB at n = 12 and
+    # 13. n = 14 is held back by enumerate_ctft alone (170 MiB)
     Check("counting", "geometry", 13, check_counting),
     Check("short-chords", "geometry", 13, check_short_chords),
     Check("phi-roundtrip", "geometry", 13, check_phi_roundtrip),
     # one flip per validated triangulation and colour, read off the dual
-    # path and indexed by chord tuple; alone: 1.8-2.0 s / 36 MiB at
-    # n = 11, 3.5-3.6 s / 59 MiB at n = 12, 8.1-8.4 s / 109 MiB at n = 13;
-    # held at 13 as counting
+    # path and indexed by chord tuple; alone: 1.5 s / 37 MiB at n = 11,
+    # 3.0-3.5 s / 63 MiB at n = 12, 7.9-8.0 s / 117 MiB at n = 13; held
+    # at 13 as counting
     Check("flip-involution", "geometry", 13, check_flip_involution),
-    # words composed from the flip graph's step tables: 2.6 s / 26 MiB
-    # at n = 12, 6.7 s / 35 MiB at n = 13, 15 s / 57 MiB at n = 14, the
-    # largest n build_graph accepts
+    # each word walked once per fiber on the voltages: alone, 0.28 s /
+    # 18 MiB at n = 12, 0.7-0.8 s / 19 MiB at n = 13, 1.5-1.7 s / 21 MiB
+    # at n = 14, the largest n build_graph accepts
     Check("relations", "coxeter", 14, check_relations),
     Check("stabilizer", "coxeter", 11, check_stabilizer),  # n = 11: 0.09 s / 18 MiB
     Check("volumes", "coxeter", 10, check_volumes),
@@ -605,9 +623,9 @@ SUITES: list[Check] = [
     # exponential time: 0.04 s at n = 11, 0.53 s at n = 14, 3.1 s at 16
     Check("rank-polynomial", "lattice", 6, check_rank_polynomial),
     Check("graph-description", "graph", 5, check_graph_description),
-    # 20 BFS sources over the step tables: alone, 1.2-1.4 s at n = 11
-    # and 2.9 s at n = 12, under 50 MiB; held below 12, where the whole
-    # graph suite is skipped
+    # 20 BFS sources over the step tables, each with one column of formula
+    # calls: alone, 1.2-1.4 s at n = 11 and 3.1-3.3 s / 33 MiB at n = 12;
+    # held below 12, where the whole graph suite is skipped
     Check("distance-formula", "graph", 11, check_distance_formula, min_n=3),
     # one bit-parallel BFS sweep from all rotation orbits, one integer
     # per fiber; alone in a process (VmHWM): 0.13 s / 18 MiB at n = 9,
@@ -625,7 +643,7 @@ SUITES: list[Check] = [
     # rep realized from letters and the later ones by one composition
     # with a_n's map: alone, 0.19 s at n = 7 and 1.2 s / 20 MiB at n = 9
     Check("shortest-reps", "graph", 5, check_shortest_representatives, min_n=3),
-    Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),  # n = 11: 0.01 s
+    Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),  # n = 11: 5-7 ms
     Check("rotation-automorphism", "graph", 5, check_rotation_automorphism),
 ]
 
@@ -648,10 +666,10 @@ def run_suite(n: int, suite: str = "all"):
     ``flipgraph.MAX_GRAPH_N``.
 
     The checks of one suite share per-n inputs within one call (the
-    triangulations, step tables, the maps of the reps' words, the ideals
-    of join-irreducibles, meets and joins), built on first use and
-    dropped at the next suite; ``Check.run`` shares none.  An unknown
-    ``suite`` raises ``ValueError``.
+    triangulations and their phi vectors, the flip graph, the maps of
+    the reps' words, the ideals of join-irreducibles, meets and joins),
+    built on first use and dropped at the next suite; ``Check.run``
+    shares none.  An unknown ``suite`` raises ``ValueError``.
     """
     if suite != "all" and suite not in suite_names():
         raise ValueError(f"unknown suite {suite!r}")

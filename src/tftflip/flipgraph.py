@@ -75,10 +75,12 @@ class FlipGraph:
 
     @cached_property
     def steps(self) -> list[array]:
-        """``steps[i][v]``, the id of s_i v, for the per-vertex readers,
-        derived on first use: each fiber appends its image fiber's block
-        of ``array("i")`` bytes, or two slices of it where the turn is not
-        0.  The fiber readers never build it."""
+        """``steps[i][v]``, the id of s_i v, derived on first use for the
+        per-vertex readers (breadth-first search, ``colored_edges``, the
+        checks that read single ids): each fiber appends its image fiber's
+        block of ``array("i")`` bytes, or two slices of it where the turn is
+        not 0.  The fiber readers (the exports, ``bfs_diameter`` and the
+        ``relations`` check) never build it."""
         m, width = self.n + 4, struct.calcsize("i")
         # struct packs a range about 2.5 times faster than array("i") reads it
         data = struct.pack(f"{m << self.n}i", *range(m << self.n))

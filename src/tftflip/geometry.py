@@ -68,9 +68,9 @@ def _crossing(m: int) -> Mapping[Chord, frozenset[Chord]]:
 
 
 @lru_cache(maxsize=16)
-def _sides(m: int) -> frozenset[Chord]:
-    """The m boundary edges {v, v + 1} of the m-gon."""
-    return frozenset(frozenset((v, (v + 1) % m)) for v in range(m))
+def _sides(m: int, gap: int = 1) -> frozenset[Chord]:
+    """The m sides (gap 1) or short chords (gap 2) {v, v + gap} of the m-gon."""
+    return frozenset(frozenset((v, (v + gap) % m)) for v in range(m))
 
 
 def is_short(c: Chord, m: int) -> bool:
@@ -223,7 +223,7 @@ class ColoredTriangulation:
         return not self._violations
 
     def short_chords(self) -> list[Chord]:
-        return [c for c in self.chords if is_short(c, self.m)]
+        return list(filter(_sides(self.m, 2).__contains__, self.chords))
 
     # -- phi ---------------------------------------------------------
 

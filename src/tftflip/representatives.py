@@ -19,7 +19,7 @@ self-dual lower interval of the left weak order.
 from __future__ import annotations
 
 from itertools import accumulate, count, product
-from operator import le, mul, sub
+from operator import index, le, mul, sub
 from typing import NamedTuple, Sequence
 
 from .geometry import PhiVector, _are_bits
@@ -94,7 +94,7 @@ def parse_rep(text: str, n: int) -> Rep:
 
 
 def format_rep(r: Rep) -> str:
-    return ",".join(map("%d".__mod__, r))  # a bool bit as 0 or 1
+    return ",".join(map(str, map(index, r)))  # a bool bit as 0 or 1, a float refused
 
 
 def rep_length(r: Rep) -> int:

@@ -240,8 +240,9 @@ def test_flip_involution_validates_only_the_enumerated_triangulations(monkeypatc
     "name", ["relations", "stabilizer", "rep-phi-correspondence", "shortest-reps"]
 )
 def test_word_checks_walk_the_step_tables(monkeypatch, name):
-    # each word check reads the flip graph's tables, built once, and
-    # applies no vector action of its own
+    # each word check reads the flip graph, built once: relations walks its
+    # voltages, the others the step tables derived from them; none applies
+    # a vector action of its own
     check = next(c for c in checks.SUITES if c.name == name)
     acts = counted(monkeypatch, coxeter, "act_on_phi")
     builds = counted(monkeypatch, flipgraph, "build_graph")
@@ -291,26 +292,27 @@ def broken_images(monkeypatch, breakage):
 
 
 def test_relations_catches_a_moved_vector_at_n7(monkeypatch):
-    # the vector test composes the step tables, so break one entry: s_1
-    # fixes both the last vector and the base, and now sends the last
-    # vector to the base; each relation names its smallest moved id
+    # relations walks the voltages, so rewire them: s_1 fixes the fibers
+    # of the base (bits 0...0) and of the last vector (bits 1...1); swap
+    # them, which keeps s_1 an involution, and turn s_0's image of the last
+    # fiber by 1, which does not keep s_0 one; each relation names its
+    # smallest moved id, the first id of the first fiber it moves
     n = 7
-    moved = geometry.all_phi_vectors(n)[-1]
-    last = flipgraph.vertex_id(reps.phi_to_rep(moved), n)
-    assert reps.phi_to_rep(coxeter.base_vector(n)) == reps.identity_rep(n)  # id 0
-    s1 = flipgraph.build_graph(n).steps[1]
-    assert (s1[last], s1[0]) == (last, 0)
+    last = (1 << n) - 1
+    (s0_heads, s0_turns), (s1_heads, _) = flipgraph.build_graph(n).images[:2]
+    assert (s1_heads[0], s1_heads[last], s0_heads[last], s0_turns[last]) == (0, last, 63, 0)
 
-    def last_to_base(steps, n):
-        steps[1][last] = 0
+    def swap_and_turn(images, n):
+        heads = images[1][0]
+        heads[0], heads[last] = last, 0
+        heads, turns = images[0]
+        images[0] = heads, turns[:last] + b"\1"
 
-    broken_tables(monkeypatch, last_to_base)
+    broken_images(monkeypatch, swap_and_turn)
+    s0_words = ["s0^2", *(f"(s0 s{j})^2" for j in range(2, 8))]
     assert checks.check_relations(n) == (False, "; ".join([
-        f"s1^2 moves vector {moved}",
-        *(f"(s1 s{j})^2 moves vector {moved}" for j in range(3, 7)),
-        "(s1 s7)^2 moves vector 10:1111110",
-        f"(s1 s2)^3 moves vector {moved}",
-        "(s0 s1)^4 moves vector 1:0011111",
+        *(f"{name} moves vector 5:0111111" for name in s0_words),
+        *(f"{name} moves vector 0:0000000" for name in ("(s1 s7)^2", "(s1 s2)^3", "(s0 s1)^4")),
     ]))
 
 
@@ -327,12 +329,35 @@ def test_one_wrong_step_fails_action_vs_geometry_and_relations(monkeypatch):
     assert checks.check_action_matches_geometry(N) == (
         False, "step table 1 on 1:010: 0:000 != 1:100"
     )
+    # relations walks the voltages: s_1 sends the fiber of 1:010 (bits
+    # 010, fiber 2) to fiber 4 with turn 0; send it to the base's fiber 0
+    monkeypatch.undo()
+    heads = flipgraph.build_graph(N).images[1][0]
+    assert (u // (N + 4), heads[2]) == (2, 4)
+
+    def fiber_to_base(images, n):
+        images[1][0][2] = 0
+
+    broken_images(monkeypatch, fiber_to_base)
     assert checks.check_relations(N) == (False, "; ".join([
-        "s1^2 moves vector 1:010",
-        "(s1 s3)^2 moves vector 1:011",
-        "(s1 s2)^3 moves vector 1:001",
-        "(s0 s1)^4 moves vector 2:000",
+        "s1^2 moves vector 6:010",
+        "(s1 s3)^2 moves vector 5:011",
+        "(s1 s2)^3 moves vector 6:001",
+        "(s0 s1)^4 moves vector 0:000",
     ]))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_relations_derives_no_step_tables(monkeypatch, n):
+    graphs, build_graph = [], flipgraph.build_graph
+
+    def building(n):
+        graphs.append(build_graph(n))
+        return graphs[-1]
+
+    monkeypatch.setattr(flipgraph, "build_graph", building)
+    assert checks.check_relations(n)[0]
+    assert ["steps" in vars(g) for g in graphs] == [False]
 
 
 def join_fixed_vertices(steps, n):
@@ -817,3 +842,126 @@ def test_graph_suite_is_capped_at_n12():
     rows = list(checks.run_suite(12, "graph"))
     assert rows
     assert {status for _, status, _ in rows} == {"skip"}
+
+
+# -- with two seeded defects, each check names the one its vertex-outer,
+# colour-inner loop meets first: the lower vertex, though at a higher colour
+
+
+@pytest.mark.parametrize(
+    "defects, expected",
+    [
+        # flip 3 of CTS[12] goes to CTS[20], not CTS[13], and flip 0 of
+        # CTS[40] to CTS[5], not CTS[36]: no longer involutions at 12 and 36
+        ([(12, 3, 20), (40, 0, 5)], f"flip 3 is not an involution at {CTS[12]}"),
+        # flip 2 sends CTS[7], which it fixes, to CTS[12], which it fixes
+        # too: at 7 both tests fail, and the involution test comes first
+        ([(7, 2, 12), (30, 0, 30)], f"flip 2 is not an involution at {CTS[7]}"),
+        # flip 2 swaps CTS[7] and CTS[12], both fixed by it (bits i-1 and i
+        # agree), and flip 0 fixes CTS[30]
+        ([(7, 2, 12), (12, 2, 7), (30, 0, 30)], f"flip 2 fixed-point rule fails at {CTS[7]}"),
+        # flip 3 fixes CTS[12], and flip 1 swaps CTS[30] and CTS[40]
+        ([(12, 3, 12), (30, 1, 40), (40, 1, 30)],
+         f"flip 3 fixes {CTS[12]} (short chords never stick)"),
+    ],
+    ids=["involution", "involution-first", "fixed-point-rule", "fixes"],
+)
+def test_flip_involution_names_its_first_failure(monkeypatch, defects, expected):
+    for u, i, w in defects:
+        wrong_flip(monkeypatch, CTS[u], i, CTS[w])
+    assert checks.check_flip_involution(N) == (False, expected)
+
+
+def wrong_steps(*entries):
+    """A step-table breakage: ``steps[i][u] = v`` for each (u, i, v)."""
+
+    def breakage(steps, n):
+        for u, i, v in entries:
+            steps[i][u] = v
+
+    return breakage
+
+
+REPS = reps.all_reps(N)
+PHIS = [reps.rep_to_phi(r, N) for r in REPS]  # of the rep ids
+
+
+@pytest.mark.parametrize(
+    "letter, u, step, expected",
+    [
+        # s_3 acts wrongly on id 9, and step table 0 is wrong at id 20
+        (3, 9, wrong_steps((20, 0, 0)), "generator 3 on 4:001: 0:000 != 4:000"),
+        # both at id 33: s_2 acts wrongly, and step table 1 is wrong
+        (2, 33, wrong_steps((33, 1, 0)), "step table 1 on 1:100: 0:000 != 1:010"),
+    ],
+    ids=["generator", "step-table"],
+)
+def test_action_vs_geometry_names_its_first_failure(monkeypatch, letter, u, step, expected):
+    wrong_letter(monkeypatch, letter, PHIS[u], coxeter.base_vector(N))
+    broken_tables(monkeypatch, step)
+    assert checks.check_action_matches_geometry(N) == (False, expected)
+
+
+@pytest.mark.parametrize(
+    "fixed, steps, expected",
+    [
+        # two table entries: s_3 at id 10 and s_0 at id 40
+        (None, wrong_steps((10, 3, 0), (40, 0, 0)),
+         "s_3 at vertex 10: table 0 != generator 4"),
+        # s_2 fixes id 17 (e_n = 3, so the tables still move it), and the
+        # table of s_1 is wrong at id 33
+        ((2, 17), wrong_steps((33, 1, 0)), "s_2 at vertex 17: table 10 != generator 17"),
+    ],
+    ids=["two-tables", "generator"],
+)
+def test_rotation_automorphism_names_its_first_failure(monkeypatch, fixed, steps, expected):
+    if fixed:
+        act, (i, u) = reps._apply_generator, fixed
+        monkeypatch.setattr(
+            reps, "_apply_generator", lambda j, r, n: r if (j, r) == (i, REPS[u]) else act(j, r, n)
+        )
+    broken_tables(monkeypatch, steps)
+    assert checks.check_rotation_automorphism(N) == (False, expected)
+
+
+@pytest.mark.parametrize(
+    "formula_at, oracle_at, expected",
+    [
+        # the formula is one too long at id 45, the oracle at id 7
+        (45, 7, "rep (0, 0, 1, 0): formula 3 != oracle 4"),
+        # the formula at id 12, the oracle at id 30
+        (12, 30, "rep (0, 0, 1, 5): formula 24 != oracle 23"),
+    ],
+    ids=["oracle", "formula"],
+)
+def test_rep_lengths_names_its_first_failure(monkeypatch, formula_at, oracle_at, expected):
+    rep_length, coxeter_length = reps.rep_length, coxeter.coxeter_length
+    target = checks._rep_maps(N)[oracle_at]
+    monkeypatch.setattr(
+        reps, "rep_length", lambda r: rep_length(r) + (r == REPS[formula_at])
+    )
+    monkeypatch.setattr(
+        coxeter, "coxeter_length", lambda m: coxeter_length(m) + (m == target)
+    )
+    assert checks.check_rep_lengths(N) == (False, expected)
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        # every source in id order: a late target of source 5, and source 9
+        (N, [(5, 50), (9, 2)]),
+        # sampled sources, 197, 215, 20, ... in that order: 215 is drawn
+        # before 20
+        (5, [(20, 3), (215, 250)]),
+    ],
+    ids=["all", "sampled"],
+)
+def test_distance_formula_names_its_first_failure(monkeypatch, n, pairs):
+    rs, distance = reps.all_reps(n), flipgraph._distance
+    wrong = {(rs[u], rs[v]) for u, v in pairs}
+    monkeypatch.setattr(
+        flipgraph, "_distance", lambda r, s, n: distance(r, s, n) + ((r, s) in wrong)
+    )
+    u, v = pairs[-1] if n > N else pairs[0]
+    assert checks.check_distance_formula(n) == (False, f"formula != BFS at {rs[u]}, {rs[v]}")

@@ -145,6 +145,12 @@ class TestBasics:
         assert str(v) == "0:011"
         assert parse_phi(str(v), 3) == v
 
+    @pytest.mark.parametrize("entry", [2.5, 2.0])
+    def test_text_form_refuses_an_entry_that_is_not_an_integer(self, entry):
+        # a float, as check_rep refuses one; "%d" printed 2.5 as 2
+        with pytest.raises(TypeError):
+            format_rep((0, 0, 0, entry))
+
 
 class TestLength:
     def test_examples(self):
