@@ -35,17 +35,27 @@ class Check:
     run: Callable[[int], tuple[bool, str]]
     finding: bool = False
     min_n: int = 2  # smallest n the checked claim is stated for
+    reads: tuple[str, ...] = ()  # the names of the run's inputs it may read
 
 
-_suite_inputs: ContextVar[dict] = ContextVar("suite_inputs")  # set by run_suite
+_run: ContextVar[tuple] = ContextVar("run")  # (store, check, last reads); set by run_suite
 
 
-def _shared(build, arg):
-    """``build(arg)`` of the suite's n or shared input, made once per suite."""
-    inputs = _suite_inputs.get({})  # fresh when unset: a check run on its own builds its own
-    if build not in inputs:
-        inputs[build] = build(arg)
-    return inputs[build]
+def _shared(name, build, *args):
+    """The run's input ``name``, ``build(*args)``, made on first use and
+    shared by the checks of one ``run_suite`` call that list ``name`` in
+    their ``reads``; the store forgets it as it hands it to its last
+    reader.  Raises ``LookupError`` when the running check does not list
+    ``name``.  A check called on its own builds its own."""
+    run = _run.get(None)
+    if run is None:
+        return build(*args)
+    store, check, last = run
+    if name not in check.reads:
+        raise LookupError(f"{check.name} does not list the input {name!r}")
+    if name not in store:
+        store[name] = build(*args)
+    return store.pop(name) if name in last else store[name]
 
 
 def _first_difference(*pairs):
@@ -59,7 +69,7 @@ def _first_difference(*pairs):
 
 
 def check_counting(n):
-    cts = _shared(geometry.enumerate_ctft, n)
+    cts = _shared("triangulations", geometry.enumerate_ctft, n)
     expected = (n + 4) * 2**n
     if len(cts) != expected:
         return False, f"enumerated {len(cts)}, expected {expected}"
@@ -83,7 +93,7 @@ def check_counting(n):
 
 
 def check_short_chords(n):
-    for ct in _shared(geometry.enumerate_ctft, n):
+    for ct in _shared("triangulations", geometry.enumerate_ctft, n):
         shorts = ct.short_chords()
         if len(shorts) != 2:
             return False, f"{ct} has {len(shorts)} short chords"
@@ -98,11 +108,22 @@ def _phis(cts):
 
 
 def check_phi_roundtrip(n):
-    cts = _shared(geometry.enumerate_ctft, n)
-    back = (geometry.phi_inv(v).chords for v in _shared(_phis, cts))
+    cts = _shared("triangulations", geometry.enumerate_ctft, n)
+    back = (geometry.phi_inv(v).chords for v in _shared("phis", _phis, cts))
     if fail := _first_difference((back, (ct.chords for ct in cts))):
         return False, f"phi roundtrip fails on {cts[fail[0]]}"
     return True, "phi_inv . phi is the identity on all triangulations"
+
+
+def _index(cts):
+    """The position in ``cts`` of each triangulation, by its chords: all of
+    cts share n, so their chord tuples tell them apart, and tuples hash
+    and compare in C.  Raises ``RuntimeError`` at a duplicate."""
+    index = {}
+    for u, ct in enumerate(cts):
+        if index.setdefault(ct.chords, u) != u:
+            raise RuntimeError(f"{ct} enumerated twice")
+    return index
 
 
 def _flip_tables(cts, n):
@@ -113,13 +134,7 @@ def _flip_tables(cts, n):
     Raises ``RuntimeError`` when ``cts`` holds a duplicate or a flip
     leaves it.
     """
-    # all of cts share n, so their chord tuples tell them apart, and
-    # tuples hash and compare in C
-    index = {}
-    for u, ct in enumerate(cts):
-        if index.setdefault(ct.chords, u) != u:
-            raise RuntimeError(f"{ct} enumerated twice")
-    tables = []
+    index, tables = _index(cts), []
     for i in range(n + 1):
         row = array("i")
         for ct in cts:
@@ -131,15 +146,25 @@ def _flip_tables(cts, n):
     return tables
 
 
+def _fixed(phis, n):
+    """For each flip i with 0 < i < n, the bytes column that says where
+    bits i-1 and i of ``phis`` agree."""
+    bits = [v.bits for v in phis]
+    return [
+        bytes(map(eq, map(itemgetter(i - 1), bits), map(itemgetter(i), bits))) for i in range(1, n)
+    ]
+
+
 def check_flip_involution(n):
-    cts = _shared(geometry.enumerate_ctft, n)
-    flips = _flip_tables(cts, n)
-    bits, pairs = [v.bits for v in _shared(_phis, cts)], []
+    # the phi vectors give up their fixed-point columns before the flip
+    # tables are built, so the last reader of the vectors frees them first
+    cts = _shared("triangulations", geometry.enumerate_ctft, n)
+    fixed = [repeat(0), *_fixed(_shared("phis", _phis, cts), n), repeat(0)]
+    flips, pairs = _shared("flips", _flip_tables, cts, n), []
     for i, row in enumerate(flips):
         # flipped twice it returns, and it stays exactly where bits i-1, i agree
-        fixed = map(eq, map(itemgetter(i - 1), bits), map(itemgetter(i), bits))
         stays = map(eq, row, count())
-        pairs += (map(row.__getitem__, row), count()), (stays, fixed if 0 < i < n else repeat(0))
+        pairs += (map(row.__getitem__, row), count()), (stays, fixed[i])
     if fail := _first_difference(*pairs):
         (i, involution), ct = divmod(fail[1], 2), cts[fail[0]]
         if not involution:
@@ -167,7 +192,7 @@ def check_relations(n):
     # for all fibers F at once: it fixes every vertex exactly when each F
     # returns with net turn 0 mod m, and an F that does not moves id F*m
     rels, m = coxeter.relation_words(n), n + 4
-    images, failures = _shared(flipgraph.build_graph, n).images, []
+    images, failures = _shared("graph", flipgraph.build_graph, n).images, []
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
             failures.append(f"{name} not the identity map")
@@ -187,8 +212,8 @@ def check_relations(n):
 def check_stabilizer(n):
     # the stabilizer generators fix the star (the identity rep, id 0), and
     # the step tables reach every vertex from it: the action is transitive
-    g = _shared(flipgraph.build_graph, n)
-    orbit = len(flipgraph.bfs_distances(g, 0))  # raises if disconnected
+    g = _shared("graph", flipgraph.build_graph, n)
+    orbit = len(_shared("distances", flipgraph.bfs_distances, g, 0))  # raises if disconnected
     words = coxeter.stabilizer_generators(n)
     bad = [coxeter.format_word(w) for w in words if _walk(g.steps, w, [0]) != [0]]
     if bad:
@@ -209,14 +234,38 @@ def check_volumes(n):
     return True, f"det A = 1, det B = {det_b}, ratio = {ratio}"
 
 
+def _id_order(cts, n):
+    """The position in ``cts`` of ``phi_inv`` of each rep's vector, in id
+    order.  Raises ``RuntimeError`` unless every rep lands on exactly one
+    enumerated triangulation."""
+    index, ids = _index(cts), {}  # the id at each position reached
+    vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
+    for u, v in enumerate(vectors):
+        p = index.get(geometry.phi_inv(v).chords)
+        if p is None:
+            raise RuntimeError(f"phi_inv of {v} is not enumerated")
+        if ids.setdefault(p, u) != u:
+            raise RuntimeError(f"phi_inv sends {vectors[ids[p]]} and {v} to {cts[p]}")
+    if len(ids) != len(cts):
+        raise RuntimeError(f"{len(cts)} triangulations enumerated for {len(ids)} reps")
+    return array("i", ids)
+
+
 def check_action_matches_geometry(n):
     # one letter on one vertex three ways: the vector action and the step
     # table both read _apply_generator, the table adding build_graph's
-    # fibers and id layout, and each is checked against the flip; with
-    # the triangulations in id order, both tables hold ids of ``vectors``
+    # fibers and id layout, and each is checked against the flip; the
+    # enumeration's flip tables, read through phi_inv of each id's vector,
+    # hold ids of ``vectors`` as both other tables do
+    cts = _shared("triangulations", geometry.enumerate_ctft, n)
+    order = _shared("id_order", _id_order, cts, n)
+    ids = sorted(range(len(order)), key=order.__getitem__)  # the id at each position
+    flips = [
+        list(map(ids.__getitem__, map(row.__getitem__, order)))
+        for row in _shared("flips", _flip_tables, cts, n)
+    ]
     vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
-    flips = _flip_tables([geometry.phi_inv(v) for v in vectors], n)
-    steps, pairs = _shared(flipgraph.build_graph, n).steps, []
+    steps, pairs = _shared("graph", flipgraph.build_graph, n).steps, []
     for i, (flip, step) in enumerate(zip(flips, steps)):
         acts = map(coxeter.act_on_phi, repeat((i,)), vectors)
         pairs += (acts, map(vectors.__getitem__, flip)), (step, flip)
@@ -278,8 +327,13 @@ def _rep_maps(n):
     return maps
 
 
+def _lengths(n):
+    """The hyperplane length of every rep's map, in id order."""
+    return list(map(coxeter.coxeter_length, _shared("rep_maps", _rep_maps, n)))
+
+
 def check_rep_lengths(n):
-    rs, oracle = reps.all_reps(n), list(map(coxeter.coxeter_length, _shared(_rep_maps, n)))
+    rs, oracle = reps.all_reps(n), _shared("lengths", _lengths, n)
     formula = list(map(reps.rep_length, rs))
     if fail := _first_difference((formula, oracle)):
         u = fail[0]
@@ -291,7 +345,7 @@ def check_rep_phi_correspondence(n):
     # each rep's word walks the identity rep (id 0) to the rep's own id:
     # a_n's powers walk id 0 to the n+4 start ids once, and each fiber
     # head's word walks all n+4 of them together
-    steps, a_n = _shared(flipgraph.build_graph, n).steps, _a_n(n)
+    steps, a_n = _shared("graph", flipgraph.build_graph, n).steps, _a_n(n)
     starts = [0]
     for _ in range(n + 3):
         starts += _walk(steps, a_n, starts[-1:])
@@ -324,7 +378,7 @@ def finding_s0_direction(n):
 
 def finding_self_duality(n):
     top = coxeter.word_to_affine(n, reps.rep_to_word(reps.longest_rep(n)))
-    maps = dict(zip(reps.all_reps(n), _shared(_rep_maps, n)))
+    maps = dict(zip(reps.all_reps(n), _shared("rep_maps", _rep_maps, n)))
     for r, m in maps.items():
         if m.compose(top) != maps.get(reps.dual(r, n)):
             return False, f"r * w_o != dual(r) as maps at r = {r}"
@@ -343,7 +397,7 @@ def _ideals(n):
     Hasse edge stays within one level, when the join-irreducibles are
     not as many as the top length, or when two ids (as unreached ones)
     share an ideal."""
-    m, rows = n + 4, enumerate(zip(*_shared(flipgraph.build_graph, n).steps))
+    m, rows = n + 4, enumerate(zip(*_shared("graph", flipgraph.build_graph, n).steps))
     hasse = [
         {v for i, v in enumerate(row) if v != u and (i < n or abs(u % m - v % m) != m - 1)}
         for u, row in rows
@@ -384,7 +438,7 @@ def _bounds(n):
 
 def check_order_closure(n):
     rs = reps.all_reps(n)
-    for (r, a), (s, b) in product(zip(rs, _shared(_ideals, n)), repeat=2):
+    for (r, a), (s, b) in product(zip(rs, _shared("ideals", _ideals, n)), repeat=2):
         if reps.leq(r, s) != (a & ~b == 0):
             return False, f"dominance vs ideal inclusion disagree at {r}, {s}"
     return True, "dominance order equals the transitive closure of covers"
@@ -393,9 +447,9 @@ def check_order_closure(n):
 def check_meet_join(n):
     # under Birkhoff's representation meet and join are the intersection
     # and the union of ideals, so this also shows the interval distributive
-    ideal = dict(zip(reps.all_reps(n), _shared(_ideals, n)))
+    ideal = dict(zip(reps.all_reps(n), _shared("ideals", _ideals, n)))
     pairs = product(ideal.items(), repeat=2)
-    for ((r, a), (s, b)), meet, join in zip(pairs, *_shared(_bounds, n)):
+    for ((r, a), (s, b)), meet, join in zip(pairs, *_shared("bounds", _bounds, n)):
         if ideal.get(meet) != a & b:
             return False, f"meet formula is not the glb at {r}, {s}"
         if ideal.get(join) != a | b:
@@ -406,7 +460,7 @@ def check_meet_join(n):
 def check_modularity(n):
     rs = reps.all_reps(n)
     pairs = product(zip(rs, map(reps.rep_length, rs)), repeat=2)
-    for ((r, a), (s, b)), meet, join in zip(pairs, *_shared(_bounds, n)):
+    for ((r, a), (s, b)), meet, join in zip(pairs, *_shared("bounds", _bounds, n)):
         if reps.rep_length(join) + reps.rep_length(meet) != a + b:
             return False, f"modularity fails at {r}, {s}"
     return True, "rank modularity l(join) + l(meet) = l(r) + l(s) on all pairs"
@@ -421,7 +475,7 @@ def check_duality(n):
             return False, f"dual not an involution at {r}"
         if reps.rep_length(rs[dual[u]]) != top_len - reps.rep_length(r):
             return False, f"dual length complement fails at {r}"
-    ideals = _shared(_ideals, n)
+    ideals = _shared("ideals", _ideals, n)
     for (i, r), (j, s) in product(enumerate(rs), repeat=2):
         # I(r) within I(s) against I(dual(s)) within I(dual(r))
         if (ideals[i] & ~ideals[j] == 0) != (ideals[dual[j]] & ~ideals[dual[i]] == 0):
@@ -452,7 +506,7 @@ def check_rank_polynomial(n):
 
 def check_graph_description(n):
     rs = reps.all_reps(n)
-    edges = flipgraph.colored_edges(_shared(flipgraph.build_graph, n))
+    edges = flipgraph.colored_edges(_shared("graph", flipgraph.build_graph, n))
     simple = {frozenset((rs[u], rs[v])) for u, v, _ in edges}
     described = {frozenset((r, s)) for r in rs for s in reps.covers(r, n)}
     described |= {frozenset(e) for e in flipgraph.wrap_edges(n)}
@@ -466,7 +520,7 @@ def check_graph_description(n):
 
 
 def check_distance_formula(n):
-    g = _shared(flipgraph.build_graph, n)
+    g = _shared("graph", flipgraph.build_graph, n)
     rs = reps.all_reps(n)
     if n <= 4:
         sources, label = range(len(rs)), "all"
@@ -483,7 +537,7 @@ def check_distance_formula(n):
 
 def check_diameter(n):
     closed = flipgraph.diameter(n)
-    by_bfs = flipgraph.bfs_diameter(_shared(flipgraph.build_graph, n))
+    by_bfs = flipgraph.bfs_diameter(_shared("graph", flipgraph.build_graph, n))
     if by_bfs != closed:
         return False, f"BFS diameter {by_bfs} != closed form {closed}"
     return True, f"diameter {closed} confirmed by BFS from all {2**n} rotation-orbit sources"
@@ -503,8 +557,9 @@ def check_antipodes(n):
     moves = {"color_reversal": lambda ct: ct.reverse_colors()}
     if n % 2 == 0:
         moves["rotation"] = lambda ct: ct.rotate((n + 4) // 2)
-    for r in reps.all_reps(n):
-        ct = geometry.phi_inv(reps.rep_to_phi(r, n))
+    cts = _shared("triangulations", geometry.enumerate_ctft, n)
+    for r, p in zip(reps.all_reps(n), _shared("id_order", _id_order, cts, n)):
+        ct = cts[p]  # phi_inv of r's vector
         for kind, move in moves.items():
             a = flipgraph.antipode(r, n, kind)
             if flipgraph.distance_formula(r, a, n) != target:
@@ -517,7 +572,7 @@ def check_antipodes(n):
 def check_bipartition(n):
     # every edge joins opposite signs, and the two classes are equal
     signs = [flipgraph.sign(r) for r in reps.all_reps(n)]
-    edges = flipgraph.colored_edges(_shared(flipgraph.build_graph, n))
+    edges = flipgraph.colored_edges(_shared("graph", flipgraph.build_graph, n))
     bad = sum(signs[u] == signs[v] for u, v, _ in edges)
     plus = signs.count(1)
     classes = (plus, len(signs) - plus)
@@ -527,19 +582,24 @@ def check_bipartition(n):
 
 
 def check_shortest_representatives(n):
-    g = _shared(flipgraph.build_graph, n)
-    ident = flipgraph.vertex_id(reps.identity_rep(n), n)
-    base = flipgraph.bfs_distances(g, ident)
+    # a rep that keeps its own word has its hyperplane length in rep-lengths'
+    # column; a shortened word's map is realized from its letters
+    g = _shared("graph", flipgraph.build_graph, n)
+    base = _shared("distances", flipgraph.bfs_distances, g, 0)  # from the identity rep
+    lengths = _shared("lengths", _lengths, n)
     for r, word in flipgraph.shortest_representatives(n):
-        oracle = coxeter.coxeter_length(coxeter.word_to_affine(n, word))
         u = flipgraph.vertex_id(r, n)
+        if word == reps.rep_to_word(r):
+            oracle = lengths[u]
+        else:
+            oracle = coxeter.coxeter_length(coxeter.word_to_affine(n, word))
         distance = base[u]
         if not len(word) == oracle == distance:
             return False, (
                 f"shortest word for {r} has {len(word)} letters, length "
                 f"{oracle}, graph distance {distance}"
             )
-        if _walk(g.steps, word, [ident]) != [u]:
+        if _walk(g.steps, word, [0]) != [u]:
             return False, f"shortest word for {r} lies in another coset"
     return True, "shortest-representative lengths equal Schreier distances"
 
@@ -564,7 +624,7 @@ def check_rotation_automorphism(n):
     # the step tables are derived from one image fiber and turn per color
     # and fiber, so they commute with the rotation by construction: equal
     # to the generator action at every vertex, they make it commute too
-    steps, rs = _shared(flipgraph.build_graph, n).steps, reps.all_reps(n)
+    steps, rs = _shared("graph", flipgraph.build_graph, n).steps, reps.all_reps(n)
     act, ids = reps._apply_generator, flipgraph.vertex_id
     gens = (map(ids, map(act, repeat(i), rs, repeat(n)), repeat(n)) for i in range(n + 1))
     if fail := _first_difference(*zip(steps, gens)):
@@ -579,72 +639,91 @@ SUITES: list[Check] = [
     # the triangulations share the chords of one table, and validation
     # reads each disjoint pair off its crossing table; alone in a process
     # (VmHWM, 2 vCPU, Python 3.11), at n = 11, 12 and 13: counting 0.9 s /
-    # 36 MiB, 1.7-2.3 s / 59 MiB and 3.2-3.9 s / 109 MiB; short-chords
-    # 0.2, 0.45 and 1.2 s; phi-roundtrip 0.35, 1.1-1.3 and 2.1-2.2 s; the
-    # suite's phi vectors raise its peak to 67 and 125 MiB at n = 12 and
-    # 13. n = 14 is held back by enumerate_ctft alone (170 MiB)
-    Check("counting", "geometry", 13, check_counting),
-    Check("short-chords", "geometry", 13, check_short_chords),
-    Check("phi-roundtrip", "geometry", 13, check_phi_roundtrip),
+    # 36 MiB, 1.3-2.3 s / 56 MiB and 3.2-3.9 s / 102 MiB; short-chords
+    # 0.2, 0.45 and 1.2 s; phi-roundtrip 0.35, 1.1-1.3 and 1.8-2.2 s; the
+    # whole suite peaks at 58 and 106 MiB at n = 12 and 13. n = 14 is held
+    # back by enumerate_ctft alone (170 MiB)
+    Check("counting", "geometry", 13, check_counting, reads=("triangulations",)),
+    Check("short-chords", "geometry", 13, check_short_chords, reads=("triangulations",)),
+    Check("phi-roundtrip", "geometry", 13, check_phi_roundtrip, reads=("triangulations", "phis")),
     # one flip per validated triangulation and colour, read off the dual
-    # path and indexed by chord tuple; alone: 1.5 s / 37 MiB at n = 11,
-    # 3.0-3.5 s / 63 MiB at n = 12, 7.9-8.0 s / 117 MiB at n = 13; held
+    # path and indexed by chord tuple; alone: 1.4 s / 36 MiB at n = 11,
+    # 2.9-3.5 s / 57 MiB at n = 12, 6.9-8.0 s / 105 MiB at n = 13; held
     # at 13 as counting
-    Check("flip-involution", "geometry", 13, check_flip_involution),
+    Check(
+        "flip-involution", "geometry", 13, check_flip_involution,
+        reads=("triangulations", "phis", "flips"),
+    ),
     # each word walked once per fiber on the voltages: alone, 0.28 s /
     # 18 MiB at n = 12, 0.7-0.8 s / 19 MiB at n = 13, 1.5-1.7 s / 21 MiB
     # at n = 14, the largest n build_graph accepts
-    Check("relations", "coxeter", 14, check_relations),
-    Check("stabilizer", "coxeter", 11, check_stabilizer),  # n = 11: 0.09 s / 18 MiB
+    Check("relations", "coxeter", 14, check_relations, reads=("graph",)),
+    # alone: 0.03-0.05 s / 20 MiB at n = 11
+    Check("stabilizer", "coxeter", 11, check_stabilizer, reads=("graph", "distances")),
     Check("volumes", "coxeter", 10, check_volumes),
-    # alone: 0.03-0.04 s at n = 6, 0.21-0.24 s at n = 8; held at 5 because
-    # a cap of 6 adds an ok row to verify -n 6, which
-    # perfbench/expected_verify.json pins
-    Check("action-vs-geometry", "coxeter", 5, check_action_matches_geometry),
+    # alone, where it enumerates and flips itself: 0.03 s at n = 6,
+    # 0.19-0.29 s / 20 MiB at n = 8; held at 5 because a cap of 6 adds an
+    # ok row to verify -n 6, which perfbench/expected_verify.json pins
+    Check(
+        "action-vs-geometry", "coxeter", 5, check_action_matches_geometry,
+        reads=("triangulations", "id_order", "flips", "graph"),
+    ),
     Check("generator-lengths", "coxeter", 10, check_generator_lengths),
     # the hyperplane count of every rep's map; _rep_maps realizes each
     # fiber head's word once and steps by a_n's map: alone, 0.06 s at
     # n = 7 and 0.33 s / 22 MiB at n = 9; held at 5 as action-vs-geometry
-    Check("rep-lengths", "coxeter", 5, check_rep_lengths),
+    Check("rep-lengths", "coxeter", 5, check_rep_lengths, reads=("rep_maps", "lengths")),
     # walks a_n's powers from the base once and each fiber head's word
     # once over all n+4 start ids, one fiber at a time; alone (VmHWM):
     # 0.42 s / 19 MiB at n = 11, 0.99 s / 22 MiB at n = 12, 2.5 s /
     # 28 MiB at n = 13, 6.7 s / 41 MiB at n = 14 (MAX_GRAPH_N)
-    Check("rep-phi-correspondence", "coxeter", 14, check_rep_phi_correspondence),
+    Check(
+        "rep-phi-correspondence", "coxeter", 14, check_rep_phi_correspondence, reads=("graph",)
+    ),
     Check("s0-direction", "coxeter", 6, finding_s0_direction, finding=True),
     # reads rep-lengths' maps: alone, 0.06 s at n = 7 and 0.26 s / 22 MiB
     # at n = 9; held at 4 as action-vs-geometry
-    Check("self-duality", "coxeter", 4, finding_self_duality, finding=True),
-    Check("order-closure", "lattice", 4, check_order_closure),
-    Check("meet-join", "lattice", 4, check_meet_join),
-    Check("modularity", "lattice", 4, check_modularity),
-    Check("duality", "lattice", 4, check_duality),
+    Check("self-duality", "coxeter", 4, finding_self_duality, finding=True, reads=("rep_maps",)),
+    Check("order-closure", "lattice", 4, check_order_closure, reads=("graph", "ideals")),
+    Check("meet-join", "lattice", 4, check_meet_join, reads=("graph", "ideals", "bounds")),
+    Check("modularity", "lattice", 4, check_modularity, reads=("bounds",)),
+    Check("duality", "lattice", 4, check_duality, reads=("graph", "ideals")),
     # counts lengths one fiber at a time: 17 MiB peak at n = 11-16, but
     # exponential time: 0.04 s at n = 11, 0.53 s at n = 14, 3.1 s at 16
     Check("rank-polynomial", "lattice", 6, check_rank_polynomial),
-    Check("graph-description", "graph", 5, check_graph_description),
+    Check("graph-description", "graph", 5, check_graph_description, reads=("graph",)),
     # 20 BFS sources over the step tables, each with one column of formula
     # calls: alone, 1.2-1.4 s at n = 11 and 3.1-3.3 s / 33 MiB at n = 12;
     # held below 12, where the whole graph suite is skipped
-    Check("distance-formula", "graph", 11, check_distance_formula, min_n=3),
+    Check("distance-formula", "graph", 11, check_distance_formula, min_n=3, reads=("graph",)),
     # one bit-parallel BFS sweep from all rotation orbits, one integer
     # per fiber; alone in a process (VmHWM): 0.13 s / 18 MiB at n = 9,
     # 0.53 s / 22 MiB at n = 10, 1.8-2.2 s / 37 MiB at n = 11, 7.8-9.7 s
     # / 96 MiB at n = 12; test_graph_suite_is_capped_at_n12 holds it at 11
-    Check("diameter-bfs", "graph", 11, check_diameter, min_n=3),
+    Check("diameter-bfs", "graph", 11, check_diameter, min_n=3, reads=("graph",)),
     # one dynamic program over the formula's walk and a formula call
     # per maximizing walk: alone, 0.8 ms at n = 6, 2.3 ms at n = 9,
     # 4.0 ms at n = 11, 29 s / 506 MiB at n = 128; held at 11 by that
     # test
     Check("diameter-scan", "graph", 11, check_diameter_scan, min_n=3),
-    Check("antipodes", "graph", 5, check_antipodes, min_n=3),
-    Check("bipartition", "graph", 11, check_bipartition, min_n=3),  # n = 11: 0.20 s / 21 MiB
+    # alone, where it enumerates itself: 5-6 ms at n = 5, 0.10 s / 19 MiB
+    # at n = 8
+    Check(
+        "antipodes", "graph", 5, check_antipodes, min_n=3, reads=("triangulations", "id_order")
+    ),
+    # n = 11: 0.20 s / 21 MiB
+    Check("bipartition", "graph", 11, check_bipartition, min_n=3, reads=("graph",)),
     # one map and one reduced word per long rep, each fiber's first long
     # rep realized from letters and the later ones by one composition
-    # with a_n's map: alone, 0.19 s at n = 7 and 1.2 s / 20 MiB at n = 9
-    Check("shortest-reps", "graph", 5, check_shortest_representatives, min_n=3),
+    # with a_n's map, and one more map per long rep for its length; alone,
+    # where it builds rep-lengths' column itself: 0.10-0.11 s at n = 7 and
+    # 0.71-0.77 s / 21 MiB at n = 9
+    Check(
+        "shortest-reps", "graph", 5, check_shortest_representatives, min_n=3,
+        reads=("graph", "distances", "rep_maps", "lengths"),
+    ),
     Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),  # n = 11: 5-7 ms
-    Check("rotation-automorphism", "graph", 5, check_rotation_automorphism),
+    Check("rotation-automorphism", "graph", 5, check_rotation_automorphism, reads=("graph",)),
 ]
 
 
@@ -665,33 +744,36 @@ def run_suite(n: int, suite: str = "all"):
     which builds the flip graph raises ``ValueError`` above
     ``flipgraph.MAX_GRAPH_N``.
 
-    The checks of one suite share per-n inputs within one call (the
-    triangulations and their phi vectors, the flip graph, the maps of
-    the reps' words, the ideals of join-irreducibles, meets and joins),
-    built on first use and dropped at the next suite; ``Check.run``
-    shares none.  An unknown ``suite`` raises ``ValueError``.
+    The checks of one call share its inputs at n (the triangulations,
+    their phi vectors and flip tables, the flip graph and its distances
+    from the identity, the maps and lengths of the reps' words, the ideals
+    of join-irreducibles, meets and joins), each built on first use and
+    dropped once the last check that runs and lists it in ``reads`` has
+    read it; ``Check.run`` shares none.  An unknown ``suite`` raises
+    ``ValueError``.
     """
     if suite != "all" and suite not in suite_names():
         raise ValueError(f"unknown suite {suite!r}")
-    inputs, inputs_suite = {}, None
-    for check in SUITES:
-        if suite != "all" and check.suite != suite:
-            continue
-        if check.suite != inputs_suite:
-            inputs, inputs_suite = {}, check.suite
+    selected = [c for c in SUITES if suite in ("all", c.suite)]
+    last = {name: c.name for c in selected if c.min_n <= n <= c.max_n for name in c.reads}
+    store = {}
+    for check in selected:
         if n > check.max_n:
             yield check.name, "skip", f"n={n} above cap {check.max_n}"
             continue
         if n < check.min_n:
             yield check.name, "skip", f"requires n >= {check.min_n}"
             continue
-        token = _suite_inputs.set(inputs)
+        done = {name for name, reader in last.items() if reader == check.name}
+        token = _run.set((store, check, done))
         try:
             ok, detail = check.run(n)
         except (RuntimeError, ValueError) as exc:
             ok, detail = False, str(exc)
         finally:
-            _suite_inputs.reset(token)
+            _run.reset(token)
+            for name in done:  # also when the check stopped before reading it
+                store.pop(name, None)
         if check.finding:
             yield check.name, "finding" if ok else "finding-FAIL", detail
         else:

@@ -110,7 +110,7 @@ def chords_cross(c1: Chord, c2: Chord, m: int) -> bool:
     return in_arc_c != in_arc_d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhiVector:
     """Image of a colored triangulation under phi: a center mod n+4 and n bits."""
 

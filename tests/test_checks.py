@@ -1,7 +1,9 @@
 """The rewritten oracle checks must still fail on wrong answers."""
 
+import dataclasses
 import random
 import time
+import weakref
 from array import array
 from collections import Counter
 from functools import cached_property
@@ -183,6 +185,33 @@ def test_action_vs_geometry_catches_one_wrong_flip(monkeypatch):
     assert checks.check_action_matches_geometry(N) == (
         False, "generator 0 on 0:000: 6:100 != 0:101"
     )
+
+
+INNER = geometry.ColoredTriangulation(  # the heptagon with the inner triangle 0, 2, 4
+    N, tuple(frozenset((x, y)) for x, y in ((0, 2), (2, 4), (0, 4), (4, 6)))
+)
+
+
+@pytest.mark.parametrize(
+    "wrong, expected",
+    [
+        # 1:010 onto 1:011's triangulation, which then has two vectors
+        ({VECTORS[10]: CTS[11]},
+         f"phi_inv sends 1:010 and 1:011 to {CTS[11]}"),
+        ({VECTORS[10]: INNER}, "phi_inv of 1:010 is not enumerated"),
+        # 1:010 and 1:011 swapped: each id still has one triangulation, and
+        # the flips of the swapped ones disagree with the action
+        ({VECTORS[10]: CTS[11], VECTORS[11]: CTS[10]},
+         "generator 2 on 1:001: 1:010 != 1:011"),
+    ],
+    ids=["shared", "outside", "swapped"],
+)
+def test_action_vs_geometry_catches_a_wrong_phi_inv(monkeypatch, wrong, expected):
+    # the enumeration stays right, so only the id order sees phi_inv
+    phi_inv = geometry.phi_inv
+    monkeypatch.setattr(geometry, "enumerate_ctft", lambda n: CTS)
+    monkeypatch.setattr(geometry, "phi_inv", lambda v: wrong.get(v) or phi_inv(v))
+    assert row("action-vs-geometry") == ("FAIL", expected)
 
 
 def counted(monkeypatch, owner, name):
@@ -590,7 +619,8 @@ def test_one_wrong_word_inside_a_fiber_fails_every_word_check(monkeypatch):
     assert statuses["self-duality"] == "finding-FAIL"
 
 
-# -- run_suite shares per-n inputs within one suite of one call
+# -- run_suite shares each input across the suites of one call, and
+# drops it after its last reader
 
 
 @pytest.mark.parametrize(
@@ -621,15 +651,121 @@ def test_one_lattice_run_orders_and_bounds_each_pair_once(monkeypatch):
     assert [len(c) for c in calls] == [56**2] * 3
 
 
-def test_one_run_builds_the_step_tables_once_per_suite(monkeypatch):
-    # once for each suite that reads them: coxeter, lattice (whose
-    # table-reading rows are capped at 4) and graph, which bfs_diameter
-    # reads too
+def test_one_run_builds_the_step_tables_once(monkeypatch):
+    # coxeter, lattice (whose table-reading rows are capped at 4) and
+    # graph read one graph
     builds = counted(monkeypatch, flipgraph, "build_graph")
-    for n, suites in ((3, 3), (5, 2), (6, 2)):
+    for n in (3, 5, 6):
         builds.clear()
         assert all(st != "FAIL" for _, st, _ in checks.run_suite(n))
-        assert builds == [(n,)] * suites
+        assert builds == [(n,)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_one_run_flips_each_triangulation_once(monkeypatch, n):
+    # flip-involution builds the flip tables, action-vs-geometry reads them
+    tables = counted(monkeypatch, checks, "_flip_tables")
+    assert all(st != "FAIL" for _, st, _ in checks.run_suite(n))
+    assert len(tables) == 1
+
+
+def test_one_run_rebuilds_each_triangulation_from_its_vector_twice(monkeypatch):
+    # phi_inv runs V times in the enumeration, V in phi-roundtrip, V for
+    # the id order that action-vs-geometry and antipodes read, and once in
+    # s0-direction; the search from the identity runs once for stabilizer
+    # and shortest-reps, besides distance-formula's 20 sources
+    n, vertices = 5, 288
+    inverses = counted(monkeypatch, geometry, "phi_inv")
+    searches = counted(monkeypatch, flipgraph, "bfs_distances")
+    assert all(st != "FAIL" for _, st, _ in checks.run_suite(n))
+    assert (len(inverses), len(searches)) == (3 * vertices + 1, 21)
+
+
+class Held(list):
+    """A list that a weak reference can point to."""
+
+
+def held(monkeypatch, owner, name):
+    """Wrap the builder ``owner.name`` so that a weak reference to each
+    input it builds is appended to the returned list."""
+    build, refs = getattr(owner, name), []
+
+    def building(*args):
+        value = build(*args)
+        value = Held(value) if isinstance(value, list) else value
+        refs.append(weakref.ref(value))
+        return value
+
+    monkeypatch.setattr(owner, name, building)
+    return refs
+
+
+@pytest.mark.parametrize(
+    "n, owner, builder, name, last",
+    [
+        (5, geometry, "enumerate_ctft", "triangulations", "antipodes"),
+        (6, geometry, "enumerate_ctft", "triangulations", "flip-involution"),
+        (5, flipgraph, "build_graph", "graph", "rotation-automorphism"),
+        (6, flipgraph, "build_graph", "graph", "bipartition"),
+    ],
+    ids=["triangulations-n5", "triangulations-n6", "graph-n5", "graph-n6"],
+)
+def test_an_input_is_dropped_after_its_last_reader(monkeypatch, n, owner, builder, name, last):
+    # the builder is monkeypatched, as a fault injection would be: it is
+    # still built once, kept up to the last check that runs and reads it,
+    # and gone in the row of that check
+    running = [c.name for c in checks.SUITES if c.min_n <= n <= c.max_n and name in c.reads]
+    assert running[-1] == last
+    built, alive = held(monkeypatch, owner, builder), {}
+    for check, status, _ in checks.run_suite(n):
+        assert status != "FAIL"
+        alive[check] = built[0]() is not None if built else None
+    assert len(built) == 1
+    rows = list(alive)
+    first, end = rows.index(running[0]), rows.index(last)
+    assert [alive[c] for c in rows[first:]] == [True] * (end - first) + [False] * (len(rows) - end)
+
+
+def test_an_input_is_dropped_after_a_last_reader_that_failed_before_reading_it(monkeypatch):
+    # antipodes asks for the diameter before the triangulations
+    def refused(n):
+        raise RuntimeError("no diameter")
+
+    built = held(monkeypatch, geometry, "enumerate_ctft")
+    monkeypatch.setattr(flipgraph, "diameter", refused)
+    rows = checks.run_suite(5)
+    assert next(r for r in rows if r[0] == "antipodes") == ("antipodes", "FAIL", "no diameter")
+    assert built[0]() is None
+
+
+def test_the_phi_vectors_are_freed_before_the_flip_tables_are_built(monkeypatch):
+    # flip-involution, their last reader, keeps only its fixed-point columns
+    refs, flip_tables, alive = held(monkeypatch, checks, "_phis"), checks._flip_tables, []
+
+    def flipping(cts, n):
+        alive.append(refs[0]() is not None)
+        return flip_tables(cts, n)
+
+    monkeypatch.setattr(checks, "_flip_tables", flipping)
+    assert {st for _, st, _ in checks.run_suite(6, "geometry")} == {"ok"}
+    assert (len(refs), alive) == (1, [False])
+
+
+def test_an_input_the_running_check_does_not_list_is_refused(monkeypatch):
+    counting = next(c for c in checks.SUITES if c.name == "counting")
+    suites = [dataclasses.replace(c, reads=()) if c is counting else c for c in checks.SUITES]
+    monkeypatch.setattr(checks, "SUITES", suites)
+    with pytest.raises(LookupError, match="counting does not list the input 'triangulations'"):
+        list(checks.run_suite(N, "geometry"))
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_a_suite_run_alone_gives_the_rows_of_the_whole_run(n):
+    # a filtered run builds what its cross-suite readers need itself
+    rows = list(checks.run_suite(n))
+    suite_of = {c.name: c.suite for c in checks.SUITES}
+    for suite in checks.suite_names():
+        assert list(checks.run_suite(n, suite)) == [r for r in rows if suite_of[r[0]] == suite]
 
 
 def test_an_unknown_suite_is_refused():
@@ -646,6 +782,11 @@ def test_a_check_called_directly_builds_its_own_inputs(monkeypatch):
     assert next(rows)[:2] == ("counting", "ok")
     assert checks.check_counting(5)[0]
     assert calls == [(5,)] * 4
+    # and the readers of other suites' triangulations and flip tables
+    tables = counted(monkeypatch, checks, "_flip_tables")
+    for check in (checks.check_action_matches_geometry, checks.check_antipodes):
+        assert check(5)[0] and check(5)[0]
+    assert (calls, len(tables)) == ([(5,)] * 8, 2)
 
 
 # -- a broken oracle is a FAIL row or one error line, never a traceback
@@ -944,6 +1085,18 @@ def test_rep_lengths_names_its_first_failure(monkeypatch, formula_at, oracle_at,
         coxeter, "coxeter_length", lambda m: coxeter_length(m) + (m == target)
     )
     assert checks.check_rep_lengths(N) == (False, expected)
+
+
+def test_one_wrong_short_length_fails_rep_lengths_and_shortest_reps(monkeypatch):
+    # (0, 0, 1, 0), id 7, keeps its own word of 3 letters, and the
+    # shortest-reps row reads its hyperplane length from rep-lengths' column
+    coxeter_length, target = coxeter.coxeter_length, checks._rep_maps(N)[7]
+    monkeypatch.setattr(coxeter, "coxeter_length", lambda m: coxeter_length(m) + (m == target))
+    failed = {name: detail for name, st, detail in checks.run_suite(N) if st == "FAIL"}
+    assert failed == {
+        "rep-lengths": "rep (0, 0, 1, 0): formula 3 != oracle 4",
+        "shortest-reps": "shortest word for (0, 0, 1, 0) has 3 letters, length 4, graph distance 3",
+    }
 
 
 @pytest.mark.parametrize(
