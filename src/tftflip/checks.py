@@ -17,7 +17,7 @@ from collections import defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, product, repeat, starmap
 from operator import add, eq, itemgetter, ne
 from typing import Callable
 
@@ -234,12 +234,16 @@ def check_volumes(n):
     return True, f"det A = 1, det B = {det_b}, ratio = {ratio}"
 
 
-def _id_order(cts, n):
-    """The position in ``cts`` of ``phi_inv`` of each rep's vector, in id
-    order.  Raises ``RuntimeError`` unless every rep lands on exactly one
-    enumerated triangulation."""
+def _vectors(n):
+    """The phi vector of every rep, in id order."""
+    return [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
+
+
+def _id_order(cts, vectors):
+    """The position in ``cts`` of ``phi_inv`` of each of the reps'
+    ``vectors``, in id order.  Raises ``RuntimeError`` unless every rep
+    lands on exactly one enumerated triangulation."""
     index, ids = _index(cts), {}  # the id at each position reached
-    vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
     for u, v in enumerate(vectors):
         p = index.get(geometry.phi_inv(v).chords)
         if p is None:
@@ -258,13 +262,13 @@ def check_action_matches_geometry(n):
     # enumeration's flip tables, read through phi_inv of each id's vector,
     # hold ids of ``vectors`` as both other tables do
     cts = _shared("triangulations", geometry.enumerate_ctft, n)
-    order = _shared("id_order", _id_order, cts, n)
+    vectors = _shared("vectors", _vectors, n)
+    order = _shared("id_order", _id_order, cts, vectors)
     ids = sorted(range(len(order)), key=order.__getitem__)  # the id at each position
     flips = [
         list(map(ids.__getitem__, map(row.__getitem__, order)))
         for row in _shared("flips", _flip_tables, cts, n)
     ]
-    vectors = [reps.rep_to_phi(r, n) for r in reps.all_reps(n)]
     steps, pairs = _shared("graph", flipgraph.build_graph, n).steps, []
     for i, (flip, step) in enumerate(zip(flips, steps)):
         acts = map(coxeter.act_on_phi, repeat((i,)), vectors)
@@ -427,12 +431,14 @@ def _ideals(n):
 
 
 def _bounds(n):
-    """The meets and the joins of all pairs of reps, in ``product`` order;
-    a result equal to a rep is kept as that rep's tuple, not a copy."""
+    """The meets and the joins of all pairs of reps, in ``product`` order,
+    from the bodies of ``meet`` and ``join`` on the enumerated reps: each
+    result is kept as the rep's own tuple, and one that is not a rep
+    raises ``check_rep``'s ``ValueError``."""
     own = {r: r for r in reps.all_reps(n)}
     return tuple(
-        [own.get(b, b) for b in (op(r, s, n) for r, s in product(own, own))]
-        for op in (reps.meet, reps.join)
+        [own.get(b) or reps.check_rep(b, n) for b in starmap(op, product(own, repeat=2))]
+        for op in (reps._meet, reps._join)
     )
 
 
@@ -458,10 +464,11 @@ def check_meet_join(n):
 
 
 def check_modularity(n):
-    rs = reps.all_reps(n)
-    pairs = product(zip(rs, map(reps.rep_length, rs)), repeat=2)
+    # every bound is a rep, so its length is read off the table
+    length = {r: reps.rep_length(r) for r in reps.all_reps(n)}
+    pairs = product(length.items(), repeat=2)
     for ((r, a), (s, b)), meet, join in zip(pairs, *_shared("bounds", _bounds, n)):
-        if reps.rep_length(join) + reps.rep_length(meet) != a + b:
+        if length[join] + length[meet] != a + b:
             return False, f"modularity fails at {r}, {s}"
     return True, "rank modularity l(join) + l(meet) = l(r) + l(s) on all pairs"
 
@@ -558,7 +565,8 @@ def check_antipodes(n):
     if n % 2 == 0:
         moves["rotation"] = lambda ct: ct.rotate((n + 4) // 2)
     cts = _shared("triangulations", geometry.enumerate_ctft, n)
-    for r, p in zip(reps.all_reps(n), _shared("id_order", _id_order, cts, n)):
+    order = _shared("id_order", _id_order, cts, _shared("vectors", _vectors, n))
+    for r, p in zip(reps.all_reps(n), order):
         ct = cts[p]  # phi_inv of r's vector
         for kind, move in moves.items():
             a = flipgraph.antipode(r, n, kind)
@@ -615,7 +623,7 @@ def check_lower_bound(n):
             s = flipgraph.vertex_rep(rng.randrange(count), n)
             gap = abs(reps.rep_length(s) - length)
             bound = min(gap, wrap_len + 1 - gap)
-            if flipgraph.distance_formula(r, s, n) < bound:
+            if flipgraph._distance(r, s, n) < bound:  # vertex_rep gives reps
                 return False, f"length lower bound violated at {r}, {s}"
     return True, "length-gap lower bound holds on all sampled pairs"
 
@@ -625,10 +633,11 @@ def check_rotation_automorphism(n):
     # and fiber, so they commute with the rotation by construction: equal
     # to the generator action at every vertex, they make it commute too
     steps, rs = _shared("graph", flipgraph.build_graph, n).steps, reps.all_reps(n)
-    act, ids = reps._apply_generator, flipgraph.vertex_id
-    gens = (map(ids, map(act, repeat(i), rs, repeat(n)), repeat(n)) for i in range(n + 1))
+    act, ids = reps._apply_generator, {r: u for u, r in enumerate(rs)}
+    gens = (map(ids.get, map(act, repeat(i), rs, repeat(n))) for i in range(n + 1))
     if fail := _first_difference(*zip(steps, gens)):
-        (u, i), v = fail, ids(act(fail[1], rs[fail[0]], n), n)
+        # vertex_id raises check_rep's ValueError at an image that is no rep
+        (u, i), v = fail, flipgraph.vertex_id(act(fail[1], rs[fail[0]], n), n)
         return False, f"s_{i} at vertex {u}: table {steps[i][u]} != generator {v}"
     return True, "right multiplication by a_n is a graph automorphism"
 
@@ -666,7 +675,7 @@ SUITES: list[Check] = [
     # ok row to verify -n 6, which perfbench/expected_verify.json pins
     Check(
         "action-vs-geometry", "coxeter", 5, check_action_matches_geometry,
-        reads=("triangulations", "id_order", "flips", "graph"),
+        reads=("triangulations", "vectors", "id_order", "flips", "graph"),
     ),
     Check("generator-lengths", "coxeter", 10, check_generator_lengths),
     # the hyperplane count of every rep's map; _rep_maps realizes each
@@ -685,7 +694,13 @@ SUITES: list[Check] = [
     # at n = 9; held at 4 as action-vs-geometry
     Check("self-duality", "coxeter", 4, finding_self_duality, finding=True, reads=("rep_maps",)),
     Check("order-closure", "lattice", 4, check_order_closure, reads=("graph", "ideals")),
+    # meet-join and modularity share _bounds: meet's and join's bodies on
+    # every pair of enumerated reps, each result read as its rep; alone,
+    # each building its own: meet-join 0.08-0.09 s at n = 4 and 0.45-0.58
+    # s / 19 MiB at n = 5; held at 4 as action-vs-geometry
     Check("meet-join", "lattice", 4, check_meet_join, reads=("graph", "ideals", "bounds")),
+    # each length read off a table of the reps: alone, 0.08 s at n = 4
+    # and 0.48-0.51 s / 19 MiB at n = 5
     Check("modularity", "lattice", 4, check_modularity, reads=("bounds",)),
     Check("duality", "lattice", 4, check_duality, reads=("graph", "ideals")),
     # counts lengths one fiber at a time: 17 MiB peak at n = 11-16, but
@@ -709,7 +724,8 @@ SUITES: list[Check] = [
     # alone, where it enumerates itself: 5-6 ms at n = 5, 0.10 s / 19 MiB
     # at n = 8
     Check(
-        "antipodes", "graph", 5, check_antipodes, min_n=3, reads=("triangulations", "id_order")
+        "antipodes", "graph", 5, check_antipodes, min_n=3,
+        reads=("triangulations", "vectors", "id_order"),
     ),
     # n = 11: 0.20 s / 21 MiB
     Check("bipartition", "graph", 11, check_bipartition, min_n=3, reads=("graph",)),
@@ -722,7 +738,11 @@ SUITES: list[Check] = [
         "shortest-reps", "graph", 5, check_shortest_representatives, min_n=3,
         reads=("graph", "distances", "rep_maps", "lengths"),
     ),
-    Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),  # n = 11: 5-7 ms
+    # 750 pairs drawn as ids, each through _distance: alone, 3.3-3.5 ms at
+    # n = 11 and 4.3-4.8 ms / 18 MiB at n = 20
+    Check("lower-bound", "graph", 11, check_lower_bound, min_n=3),
+    # each generator image's id read from a dict of the reps: alone,
+    # 2.1-2.3 ms at n = 6 and 0.19-0.23 s / 25 MiB at n = 11
     Check("rotation-automorphism", "graph", 5, check_rotation_automorphism, reads=("graph",)),
 ]
 
@@ -745,7 +765,8 @@ def run_suite(n: int, suite: str = "all"):
     ``flipgraph.MAX_GRAPH_N``.
 
     The checks of one call share its inputs at n (the triangulations,
-    their phi vectors and flip tables, the flip graph and its distances
+    their phi vectors and flip tables, the reps' phi vectors and the
+    positions of their triangulations, the flip graph and its distances
     from the identity, the maps and lengths of the reps' words, the ideals
     of join-irreducibles, meets and joins), each built on first use and
     dropped once the last check that runs and lists it in ``reads`` has

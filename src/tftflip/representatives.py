@@ -192,23 +192,31 @@ def covers(r: Rep, n: int) -> list[Rep]:
     return sorted(out)
 
 
-def _bound(op, r: Rep, s: Rep, n: int) -> Rep:
-    """The rep whose suffix sums are ``op`` of those of ``r`` and ``s``."""
-    check_rep(r, n)
-    check_rep(s, n)
+def _bound(op, r: Rep, s: Rep) -> Rep:
+    """The tuple whose suffix sums are ``op`` of those of ``r`` and ``s``."""
     # sums[j] = e_{n-j} + ... + e_n, so e_{n-j} = sums[j] - sums[j-1]
     sums = list(map(op, accumulate(reversed(r)), accumulate(reversed(s))))
-    return check_rep(tuple(map(sub, sums, [0] + sums))[::-1], n)
+    return tuple(map(sub, sums, [0] + sums))[::-1]
 
 
 def meet(r: Rep, s: Rep, n: int) -> Rep:
     """Greatest lower bound: componentwise min of suffix sums."""
-    return _bound(min, r, s, n)
+    return check_rep(_meet(check_rep(r, n), check_rep(s, n)), n)
+
+
+def _meet(r: Rep, s: Rep) -> Rep:
+    """The body of :func:`meet`, for arguments already checked."""
+    return _bound(min, r, s)
 
 
 def join(r: Rep, s: Rep, n: int) -> Rep:
     """Least upper bound: componentwise max of suffix sums."""
-    return _bound(max, r, s, n)
+    return check_rep(_join(check_rep(r, n), check_rep(s, n)), n)
+
+
+def _join(r: Rep, s: Rep) -> Rep:
+    """The body of :func:`join`, for arguments already checked."""
+    return _bound(max, r, s)
 
 
 def dual(r: Rep, n: int) -> Rep:

@@ -19,8 +19,8 @@ from tftflip.cli import main
 def wrong_at(fn, pair, answer):
     """``fn`` except that it returns ``answer`` at the one ``pair``."""
 
-    def patched(r, s, n):
-        return answer if (r, s) == pair else fn(r, s, n)
+    def patched(r, s, *rest):
+        return answer if (r, s) == pair else fn(r, s, *rest)
 
     return patched
 
@@ -46,16 +46,18 @@ def row(name, n=N):
     ],
 )
 def test_meet_join_catches_one_wrong_pair(monkeypatch, name, pair, answer):
+    # the oracle calls the closed forms' bodies on the reps it enumerated
     assert checks.check_meet_join(N)[0]
-    monkeypatch.setattr(reps, name, wrong_at(getattr(reps, name), pair, answer))
+    body = f"_{name}"
+    monkeypatch.setattr(reps, body, wrong_at(getattr(reps, body), pair, answer))
     ok, detail = checks.check_meet_join(N)
     assert not ok
     assert f"{name} formula" in detail
 
 
 def test_meet_join_catches_a_non_representative(monkeypatch):
-    monkeypatch.setattr(reps, "meet", wrong_at(reps.meet, (TOP, TOP), (9,) * (N + 1)))
-    assert not checks.check_meet_join(N)[0]
+    monkeypatch.setattr(reps, "_meet", wrong_at(reps._meet, (TOP, TOP), (9,) * (N + 1)))
+    assert row("meet-join") == ("FAIL", "exponents 0..2 must be bits: (9, 9, 9, 9)")
 
 
 def test_shortest_reps_catches_a_padded_word(monkeypatch):
@@ -450,6 +452,17 @@ def test_rotation_automorphism_holds_the_tables_to_the_generator_action(monkeypa
     )
 
 
+def test_rotation_automorphism_reports_an_image_that_is_no_rep(monkeypatch):
+    # the images' ids come from a dict of the reps; vertex_id names the
+    # failure, so check_rep's text is the row's
+    act = reps._apply_generator
+    monkeypatch.setattr(
+        reps, "_apply_generator",
+        lambda i, r, n: (9,) * (n + 1) if (i, r) == (2, TOP) else act(i, r, n),
+    )
+    assert row("rotation-automorphism") == ("FAIL", "exponents 0..2 must be bits: (9, 9, 9, 9)")
+
+
 def test_distance_formula_catches_one_wrong_partner(monkeypatch):
     top = flipgraph.vertex_id(TOP, N)  # distance 4 from the bottom, id 0
 
@@ -628,7 +641,7 @@ def test_one_wrong_word_inside_a_fiber_fails_every_word_check(monkeypatch):
     [
         (5, geometry, "enumerate_ctft", lambda fn: lambda n: fn(n)[1:],
          ("counting", "FAIL", "enumerated 287, expected 288")),
-        (N, reps, "meet", lambda fn: wrong_at(fn, (TOP, TOP), BOTTOM),
+        (N, reps, "_meet", lambda fn: wrong_at(fn, (TOP, TOP), BOTTOM),
          ("meet-join", "FAIL", f"meet formula is not the glb at {TOP}, {TOP}")),
     ],
     ids=["enumerate_ctft", "meet"],
@@ -646,9 +659,33 @@ def test_one_run_enumerates_once(monkeypatch):
 
 
 def test_one_lattice_run_orders_and_bounds_each_pair_once(monkeypatch):
-    calls = [counted(monkeypatch, reps, name) for name in ("leq", "meet", "join")]
+    calls = [counted(monkeypatch, reps, name) for name in ("leq", "_meet", "_join")]
     assert {st for _, st, _ in checks.run_suite(N, "lattice")} == {"ok"}
     assert [len(c) for c in calls] == [56**2] * 3
+
+
+def test_the_pair_oracles_check_no_rep_per_pair(monkeypatch):
+    # meet-join, modularity and lower-bound call the closed forms' bodies
+    # on reps they enumerated, and rotation-automorphism reads each
+    # image's id from a dict: the lattice suite checks only duality's
+    # dual and id of each rep (2V), not each pair's arguments and results
+    calls = counted(monkeypatch, reps, "check_rep")
+    assert {st for _, st, _ in checks.run_suite(N, "lattice")} == {"ok"}
+    assert len(calls) <= 2 * 56
+    calls.clear()
+    assert all(st != "FAIL" for _, st, _ in checks.run_suite(N))
+    assert len(calls) < 1000
+
+
+def test_one_run_builds_the_reps_vectors_once(monkeypatch):
+    # the id order and action-vs-geometry share one vector per rep; besides
+    # those, rep-phi-correspondence takes one per rep and act_on_phi one
+    # per rep and letter
+    n, vertices = 5, 288
+    vectors = counted(monkeypatch, checks, "_vectors")
+    calls = counted(monkeypatch, reps, "rep_to_phi")
+    assert all(st != "FAIL" for _, st, _ in checks.run_suite(n))
+    assert (len(vectors), len(calls)) == (1, (2 + n + 1) * vertices)
 
 
 def test_one_run_builds_the_step_tables_once(monkeypatch):
@@ -833,11 +870,10 @@ def test_verify_reports_a_closed_form_outside_the_interval_as_a_fail_row(
     # suffix sums added, not taken the min of: (0,0,0,4) meet (0,0,0,3)
     # has last exponent 7, which check_rep refuses with a ValueError
     pair = ((0, 0, 0, 4), (0, 0, 0, 3))
-    meet = reps.meet
+    meet = reps._meet
     monkeypatch.setattr(
-        reps, "meet",
-        lambda r, s, n: reps._bound(lambda a, b: a + b, r, s, n) if (r, s) == pair
-        else meet(r, s, n),
+        reps, "_meet",
+        lambda r, s: reps._bound(lambda a, b: a + b, r, s) if (r, s) == pair else meet(r, s),
     )
     code = main(["verify", "-n", str(N), "--suite", "lattice"])
     out, err = capsys.readouterr()
@@ -858,9 +894,7 @@ LOWER_PAIR = ((0, 0, 1, 1), TOP)  # the first pair lower-bound draws at n = 3
 
 def test_lower_bound_catches_a_distance_below_the_bound(monkeypatch):
     assert flipgraph.distance_formula(*LOWER_PAIR, N) == 5  # the bound is tight
-    monkeypatch.setattr(
-        flipgraph, "distance_formula", wrong_at(flipgraph.distance_formula, LOWER_PAIR, 4)
-    )
+    monkeypatch.setattr(flipgraph, "_distance", wrong_at(flipgraph._distance, LOWER_PAIR, 4))
     assert row("lower-bound") == (
         "FAIL", f"length lower bound violated at {LOWER_PAIR[0]}, {TOP}"
     )
@@ -873,7 +907,7 @@ def test_diameter_scan_catches_a_wrong_closed_form(monkeypatch):
 
 
 def test_modularity_catches_one_wrong_join(monkeypatch):
-    monkeypatch.setattr(reps, "join", wrong_at(reps.join, (TOP, TOP), BOTTOM))
+    monkeypatch.setattr(reps, "_join", wrong_at(reps._join, (TOP, TOP), BOTTOM))
     assert row("modularity") == ("FAIL", f"modularity fails at {TOP}, {TOP}")
 
 
@@ -950,7 +984,7 @@ def test_lower_bound_draws_the_same_pairs_from_ids(monkeypatch):
         for u in random.Random(1).sample(range(len(rs)), 15)
         for _ in range(50)
     ]
-    calls = counted(monkeypatch, flipgraph, "distance_formula")
+    calls = counted(monkeypatch, flipgraph, "_distance")
     assert checks.check_lower_bound(n)[0]
     assert calls == expected
 

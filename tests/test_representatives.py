@@ -1,9 +1,10 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tftflip import representatives as reps
 from tftflip.coxeter import act_on_phi, base_vector, coxeter_length, word_to_affine
 from tftflip.flipgraph import antipode, distance_formula, vertex_id
 from tftflip.geometry import PhiVector, parse_phi, phi_inv
@@ -272,14 +273,32 @@ class TestLattice:
         assert meet((1, 0, 0, 1), (0, 1, 1, 0), 3) == (1, 0, 1, 0)
         assert join((1, 0, 0, 1), (0, 1, 1, 0), 3) == (0, 1, 0, 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_wrappers_equal_their_bodies(self, n):
+        # the lattice oracles call the bodies on reps they enumerated
+        pairs = list(product(all_reps(n), repeat=2))
+        for op, body in ((meet, reps._meet), (join, reps._join)):
+            assert [op(r, s, n) for r, s in pairs] == [body(r, s) for r, s in pairs]
+
     @pytest.mark.parametrize("op", [meet, join])
     @pytest.mark.parametrize("bad", [(0, 0, 0, 9), (2, 0, 0, 0), (0, 0, 0)])
-    def test_invalid_input_rejected(self, op, bad):
+    def test_invalid_input_rejected(self, monkeypatch, op, bad):
         # checked on the way in, not only through the result
+        def refused(r, s):
+            raise AssertionError("body called")
+
+        monkeypatch.setattr(reps, f"_{op.__name__}", refused)
         with pytest.raises(ValueError):
             op(bad, (0, 0, 0, 0), 3)
         with pytest.raises(ValueError):
             op((0, 0, 0, 0), bad, 3)
+
+    @pytest.mark.parametrize("name", ["meet", "join"])
+    def test_a_body_result_outside_the_interval_is_refused(self, monkeypatch, name):
+        monkeypatch.setattr(reps, f"_{name}", lambda r, s: (0, 0, 0, 7))
+        with pytest.raises(ValueError) as exc:
+            getattr(reps, name)((0, 0, 0, 4), (0, 0, 0, 3), 3)
+        assert str(exc.value) == "last exponent must be in 0..6: (0, 0, 0, 7)"
 
     def test_meet_join_are_bounds(self):
         rs = all_reps(3)

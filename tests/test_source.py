@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import tftflip
 
 SOURCES = sorted(Path(tftflip.__file__).parent.glob("*.py"))
@@ -64,3 +66,44 @@ def test_every_private_helper_is_referenced():
         if not any(helper.name in used for unit, used in zip(units, names) if unit is not helper)
     ]
     assert unused == []
+
+
+# each public closed form whose body an oracle calls on reps it
+# enumerated, with that body
+BODIES = [
+    ("representatives", "meet", "_meet"),
+    ("representatives", "join", "_join"),
+    ("flipgraph", "distance_formula", "_distance"),
+    ("representatives", "apply_generator", "_apply_generator"),
+]
+
+
+def calls_in(source, function):
+    """The names that the module-level ``function`` of ``source`` calls."""
+    unit = next(
+        top for top in ast.parse(source).body
+        if isinstance(top, ast.FunctionDef) and top.name == function
+    )
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(unit)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def source_of(module):
+    return (Path(tftflip.__file__).parent / f"{module}.py").read_text()
+
+
+@pytest.mark.parametrize("module, wrapper, body", BODIES, ids=[w for _, w, _ in BODIES])
+def test_each_checked_wrapper_calls_the_body_its_oracle_checks(module, wrapper, body):
+    # an oracle that checks the body then checks the wrapper's arithmetic too
+    assert body in calls_in(source_of(module), wrapper)
+
+
+def test_a_wrapper_that_calls_another_body_is_caught():
+    source = source_of("representatives")
+    swapped = source.replace("_meet(", "_join(")  # in meet's body, and _meet's own name
+    assert "_meet" in calls_in(source, "meet")
+    assert "_join" in calls_in(swapped, "meet")
+    assert "_meet" not in calls_in(swapped, "meet")
