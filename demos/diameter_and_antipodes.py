@@ -22,7 +22,7 @@ from tftflip.representatives import identity_rep, longest_rep
 n = 3
 
 g = build_graph(n)
-print(f"flip graph on {len(g.steps[0])} vertices, "
+print(f"flip graph on {(n + 4) << n} vertices, "
       f"{sum(1 for _ in colored_edges(g))} colored edges")
 print(f"wrap edges (through the stabilizer): {sorted(wrap_edges(n))[:2]} ...")
 print()

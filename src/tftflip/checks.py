@@ -18,7 +18,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, product, repeat, starmap
-from operator import add, eq, itemgetter, ne
+from operator import eq, itemgetter, ne
 from typing import Callable
 
 from . import coxeter, flipgraph, geometry
@@ -178,31 +178,17 @@ def check_flip_involution(n):
 # -- coxeter --------------------------------------------------------
 
 
-def _walk(steps, word, ids):
-    """The ids that ``word`` sends ``ids`` to through the flip graph's
-    step tables, rightmost letter first."""
-    for letter in reversed(word):
-        row = steps[letter]
-        ids = [row[u] for u in ids]
-    return ids
-
-
 def check_relations(n):
-    # each relation as an affine-map identity, and walked on the voltages
-    # for all fibers F at once: it fixes every vertex exactly when each F
-    # returns with net turn 0 mod m, and an F that does not moves id F*m
-    rels, m = coxeter.relation_words(n), n + 4
-    images, failures = _shared("graph", flipgraph.build_graph, n).images, []
+    # each relation as an affine-map identity, and walked on the graph from
+    # the first id F*m of every fiber F: a walk turns all of F's ids alike,
+    # so it fixes every vertex exactly when it fixes each F*m
+    rels, firsts = coxeter.relation_words(n), range(0, (n + 4) << n, n + 4)
+    g, failures = _shared("graph", flipgraph.build_graph, n), []
     for name, word in rels:
         if not coxeter.word_to_affine(n, word).is_identity():
             failures.append(f"{name} not the identity map")
-        fibers, turns = range(1 << n), [0] * (1 << n)
-        for letter in reversed(word):
-            heads, turn = images[letter]
-            turns = list(map(add, turns, map(turn.__getitem__, fibers)))
-            fibers = list(map(heads.__getitem__, fibers))
-        if moved := _first_difference((fibers, count()), (map(m.__rmod__, turns), repeat(0))):
-            vector = reps.rep_to_phi(flipgraph.vertex_rep(moved[0] * m, n), n)
+        if moved := _first_difference((g.walk(word, firsts), firsts)):
+            vector = reps.rep_to_phi(flipgraph.vertex_rep(firsts[moved[0]], n), n)
             failures.append(f"{name} moves vector {vector}")
     if failures:
         return False, "; ".join(failures)
@@ -215,7 +201,7 @@ def check_stabilizer(n):
     g = _shared("graph", flipgraph.build_graph, n)
     orbit = len(_shared("distances", flipgraph.bfs_distances, g, 0))  # raises if disconnected
     words = coxeter.stabilizer_generators(n)
-    bad = [coxeter.format_word(w) for w in words if _walk(g.steps, w, [0]) != [0]]
+    bad = [coxeter.format_word(w) for w in words if g.walk(w, [0]) != [0]]
     if bad:
         return False, f"generators not fixing base: {bad}"
     return True, f"all {len(words)} stabilizer generators fix the base; orbit size {orbit}"
@@ -349,13 +335,11 @@ def check_rep_phi_correspondence(n):
     # each rep's word walks the identity rep (id 0) to the rep's own id:
     # a_n's powers walk id 0 to the n+4 start ids once, and each fiber
     # head's word walks all n+4 of them together
-    steps, a_n = _shared("graph", flipgraph.build_graph, n).steps, _a_n(n)
+    g, a_n = _shared("graph", flipgraph.build_graph, n), _a_n(n)
     starts = [0]
     for _ in range(n + 3):
-        starts += _walk(steps, a_n, starts[-1:])
-    walked = chain.from_iterable(
-        zip(fiber, _walk(steps, head, starts)) for fiber, head in _fibers(n)
-    )
+        starts += g.walk(a_n, starts[-1:])
+    walked = chain.from_iterable(zip(fiber, g.walk(head, starts)) for fiber, head in _fibers(n))
     for u, (r, by_word) in enumerate(walked):
         closed = reps.rep_to_phi(r, n)
         if by_word != u:
@@ -607,7 +591,7 @@ def check_shortest_representatives(n):
                 f"shortest word for {r} has {len(word)} letters, length "
                 f"{oracle}, graph distance {distance}"
             )
-        if _walk(g.steps, word, [0]) != [u]:
+        if g.walk(word, [0]) != [u]:
             return False, f"shortest word for {r} lies in another coset"
     return True, "shortest-representative lengths equal Schreier distances"
 
@@ -663,12 +647,13 @@ SUITES: list[Check] = [
         "flip-involution", "geometry", 13, check_flip_involution,
         reads=("triangulations", "phis", "flips"),
     ),
-    # each word walked once per fiber on the voltages: alone, 0.28 s /
-    # 18 MiB at n = 12, 0.7-0.8 s / 19 MiB at n = 13, 1.5-1.7 s / 21 MiB
-    # at n = 14, the largest n build_graph accepts
+    # each word walked from the first id of every fiber, building no step
+    # table: alone, 0.44-0.50 s / 19 MiB at n = 13, 1.0-1.4 s / 21 MiB at
+    # n = 14, the largest n build_graph accepts
     Check("relations", "coxeter", 14, check_relations, reads=("graph",)),
-    # alone: 0.03-0.05 s / 20 MiB at n = 11
-    Check("stabilizer", "coxeter", 11, check_stabilizer, reads=("graph", "distances")),
+    # one search from the identity over the step tables: alone, 0.09 s /
+    # 22 MiB at n = 12, 0.19 s / 28 MiB at 13, 0.6 s / 39 MiB at 14
+    Check("stabilizer", "coxeter", 14, check_stabilizer, reads=("graph", "distances")),
     Check("volumes", "coxeter", 10, check_volumes),
     # alone, where it enumerates and flips itself: 0.03 s at n = 6,
     # 0.19-0.29 s / 20 MiB at n = 8; held at 5 because a cap of 6 adds an
@@ -683,9 +668,9 @@ SUITES: list[Check] = [
     # n = 7 and 0.33 s / 22 MiB at n = 9; held at 5 as action-vs-geometry
     Check("rep-lengths", "coxeter", 5, check_rep_lengths, reads=("rep_maps", "lengths")),
     # walks a_n's powers from the base once and each fiber head's word
-    # once over all n+4 start ids, one fiber at a time; alone (VmHWM):
-    # 0.42 s / 19 MiB at n = 11, 0.99 s / 22 MiB at n = 12, 2.5 s /
-    # 28 MiB at n = 13, 6.7 s / 41 MiB at n = 14 (MAX_GRAPH_N)
+    # once over all n+4 start ids, one fiber at a time, building no step
+    # table; alone (VmHWM): 1.7-2.1 s / 19 MiB at n = 13, 4.0-4.5 s /
+    # 21 MiB at n = 14 (MAX_GRAPH_N)
     Check(
         "rep-phi-correspondence", "coxeter", 14, check_rep_phi_correspondence, reads=("graph",)
     ),

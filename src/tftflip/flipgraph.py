@@ -8,13 +8,14 @@ stepping e_n by +1 mod m is an automorphism of the graph, so the graph
 is stored as the derived graph of a Z/m voltage graph on the 2^n fibers
 (Gross & Tucker, *Topological Graph Theory*, ch. 2): per generator
 color, the image fiber and turn of each fiber, read off the generator
-action of ``representatives``.  The per-vertex step tables, ``steps[i][v]``
-the id of s_i v, are derived from them on first use; a generator that
-fixes a vertex maps it to itself and contributes no edge.  The simple
-underlying graph is the Hasse diagram of the dominance lattice plus one
-"wrap" edge per choice of the first n-1 bits, and carries an exact
-distance formula and closed-form diameter, both cross-checked against
-breadth-first search over the graph.
+action of ``representatives``.  Words walk them (``walk``), and the
+per-vertex step tables, ``steps[i][v]`` the id of s_i v, are derived
+from them on first use; a generator that fixes a vertex maps it to
+itself and contributes no edge.  The simple underlying graph is the
+Hasse diagram of the dominance lattice plus one "wrap" edge per choice
+of the first n-1 bits, and carries an exact distance formula and
+closed-form diameter, both cross-checked against breadth-first search
+over the graph.
 """
 
 from __future__ import annotations
@@ -68,19 +69,32 @@ MAX_GRAPH_N = 14
 class FlipGraph:
     """The flip graph as a voltage graph: ``images[i] = (heads, turns)``,
     2^n entries each, says that s_i sends id F*m + e (m = n+4) to
-    heads[F]*m + (turns[F] + e) mod m."""
+    heads[F]*m + (turns[F] + e) mod m, which is all that ``walk`` reads."""
 
     n: int
     images: list[tuple[array, bytes]]
+
+    def walk(self, word: tuple[int, ...], ids: Iterable[int]) -> list[int]:
+        """The ids that ``word`` sends ``ids`` to, rightmost letter first,
+        read off ``images``: each id F*m + e steps its fiber F through the
+        word's rows, looked up once, and sums their turns onto e."""
+        m, rows = self.n + 4, [self.images[letter] for letter in reversed(word)]
+        walked = []
+        for u in ids:
+            f, e = divmod(u, m)
+            for heads, turns in rows:
+                f, e = heads[f], e + turns[f]
+            walked.append(f * m + e % m)
+        return walked
 
     @cached_property
     def steps(self) -> list[array]:
         """``steps[i][v]``, the id of s_i v, derived on first use for the
         per-vertex readers (breadth-first search, ``colored_edges``, the
-        checks that read single ids): each fiber appends its image fiber's
-        block of ``array("i")`` bytes, or two slices of it where the turn is
-        not 0.  The fiber readers (the exports, ``bfs_diameter`` and the
-        ``relations`` check) never build it."""
+        lattice's ideals and the checks that compare tables per id): each
+        fiber appends its image fiber's block of ``array("i")`` bytes, or
+        two slices of it where the turn is not 0.  The fiber readers
+        (``walk``, the exports and ``bfs_diameter``) never build it."""
         m, width = self.n + 4, struct.calcsize("i")
         # struct packs a range about 2.5 times faster than array("i") reads it
         data = struct.pack(f"{m << self.n}i", *range(m << self.n))
@@ -141,8 +155,8 @@ def vertex_rep(v: int, n: int) -> Rep:
     """The representative with id ``v``: the inverse of ``vertex_id``."""
     if n < 2:
         raise ValueError("representatives require n >= 2")
-    if not 0 <= v < (n + 4) << n:
-        raise ValueError(f"vertex id {v} out of range 0..{((n + 4) << n) - 1}")
+    if type(v) is not int or not 0 <= v < (n + 4) << n:  # not a float, nor a bool
+        raise ValueError(f"vertex id {v!r} out of range 0..{((n + 4) << n) - 1}")
     bits, last = divmod(v, n + 4)
     return tuple(bits >> j & 1 for j in range(n - 1, -1, -1)) + (last,)
 
@@ -297,9 +311,9 @@ def _distance(r: Rep, s: Rep, n: int) -> int:
 
 
 def diameter(n: int) -> int:
-    """Closed form (n+1)(n+4)/2, valid for n >= 3."""
-    if n < 3:
-        raise ValueError("the closed-form diameter requires n >= 3")
+    """Closed form (n+1)(n+4)/2, valid for integers n >= 3."""
+    if type(n) is not int or n < 3:  # not a float, nor a bool
+        raise ValueError(f"the closed-form diameter requires an integer n >= 3, not {n!r}")
     return (n + 1) * (n + 4) // 2
 
 

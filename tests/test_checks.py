@@ -270,15 +270,16 @@ def test_flip_involution_validates_only_the_enumerated_triangulations(monkeypatc
 @pytest.mark.parametrize(
     "name", ["relations", "stabilizer", "rep-phi-correspondence", "shortest-reps"]
 )
-def test_word_checks_walk_the_step_tables(monkeypatch, name):
-    # each word check reads the flip graph, built once: relations walks its
-    # voltages, the others the step tables derived from them; none applies
-    # a vector action of its own
+def test_word_checks_walk_the_flip_graph(monkeypatch, name):
+    # each word check reads the flip graph, built once, and walks its words
+    # with FlipGraph.walk; none applies a vector action of its own
     check = next(c for c in checks.SUITES if c.name == name)
     acts = counted(monkeypatch, coxeter, "act_on_phi")
     builds = counted(monkeypatch, flipgraph, "build_graph")
+    walks = counted(monkeypatch, flipgraph.FlipGraph, "walk")
     assert check.run(5)[0]
     assert (len(acts), builds) == (0, [(5,)])
+    assert walks
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -378,8 +379,9 @@ def test_one_wrong_step_fails_action_vs_geometry_and_relations(monkeypatch):
     ]))
 
 
-@pytest.mark.parametrize("n", [3, 8])
-def test_relations_derives_no_step_tables(monkeypatch, n):
+def derived_tables(monkeypatch, check, n):
+    """Whether each flip graph that ``check(n)``, which must pass, builds
+    has derived its step tables."""
     graphs, build_graph = [], flipgraph.build_graph
 
     def building(n):
@@ -387,8 +389,19 @@ def test_relations_derives_no_step_tables(monkeypatch, n):
         return graphs[-1]
 
     monkeypatch.setattr(flipgraph, "build_graph", building)
-    assert checks.check_relations(n)[0]
-    assert ["steps" in vars(g) for g in graphs] == [False]
+    assert check(n)[0]
+    return ["steps" in vars(g) for g in graphs]
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_relations_derives_no_step_tables(monkeypatch, n):
+    assert derived_tables(monkeypatch, checks.check_relations, n) == [False]
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_rep_phi_correspondence_derives_no_step_tables(monkeypatch, n):
+    # its words walk the voltages too, so its peak holds no table
+    assert derived_tables(monkeypatch, checks.check_rep_phi_correspondence, n) == [False]
 
 
 def join_fixed_vertices(steps, n):
@@ -524,8 +537,16 @@ def test_stabilizer_catches_a_short_orbit(monkeypatch):
     assert row("stabilizer") == ("FAIL", DISCONNECTED)
 
 
+def swap_fixed_fibers(images, n):
+    # s_1 fixes fibers 0 and 1 (bits 0...0 and 0...01); swapping them keeps
+    # s_1 an involution and the graph connected, but s_1 moves id 0
+    heads = images[1][0]
+    assert (heads[0], heads[1]) == (0, 1)
+    heads[0], heads[1] = 1, 0
+
+
 def test_stabilizer_catches_a_generator_moving_the_star(monkeypatch):
-    broken_tables(monkeypatch, join_fixed_vertices)  # s_1 moves id 0
+    broken_images(monkeypatch, swap_fixed_fibers)
     assert row("stabilizer") == ("FAIL", "generators not fixing base: ['1']")
 
 

@@ -156,6 +156,15 @@ def reference_derived_steps(g):
     ]
 
 
+def reference_walk(steps, word, ids):
+    """The ids that ``word`` sends ``ids`` to through the per-vertex step
+    tables, rightmost letter first: one table lookup per letter and id."""
+    for letter in reversed(word):
+        row = steps[letter]
+        ids = [row[u] for u in ids]
+    return list(ids)
+
+
 def rewired(g, color, heads, turns):
     """``g`` with the image fibers and turns of color ``color`` replaced."""
     images = list(g.images)
@@ -202,6 +211,14 @@ def shared_target(n, turn=3):
 def without_edges():
     """Voltages in which every generator fixes every vertex at n = 3."""
     return FlipGraph(3, [(array("i", range(8)), bytes(8))] * 4)
+
+
+def bottom_to_top(n=3):
+    """``build_graph(n)`` with s_0 sending fiber 0 (bits 0...0) to the
+    last fiber (bits 1...1), turn kept: s_0 s_0 then moves id 0."""
+    g = build_graph(n)
+    heads, turns = g.images[0]
+    return rewired(g, 0, [(1 << n) - 1, *heads[1:]], turns)
 
 
 # voltages that build_graph never makes: the fibers that s_c moves turned
@@ -399,6 +416,12 @@ class TestStepTables:
             with pytest.raises(ValueError, match="out of range 0..55"):
                 vertex_rep(v, 3)
 
+    @pytest.mark.parametrize("v", [2.0, 2.5, True, False])
+    def test_vertex_rep_refuses_an_id_that_is_no_int(self, v):
+        # a float id used to raise a bare TypeError, and True gave id 1
+        with pytest.raises(ValueError, match=f"vertex id {v!r} out of range 0..55"):
+            vertex_rep(v, 3)
+
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_vertex_helpers_refuse_n_below_2(self, n):
         for call in (lambda: vertex_rep(0, n), lambda: wrap_edges(n)):
@@ -417,6 +440,26 @@ class TestStepTables:
     def test_derived_tables_equal_the_per_vertex_reading(self, graph):
         g = graph()
         assert [list(step) for step in g.steps] == reference_derived_steps(g)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [lambda n=n: build_graph(n) for n in range(2, 9)]
+        + [case[2] for case in UNUSUAL_TABLES + SPLIT_TABLES]
+        + [bottom_to_top],
+        ids=[f"n{n}" for n in range(2, 9)]
+        + [case[0] for case in UNUSUAL_TABLES + SPLIT_TABLES]
+        + ["bottom-to-top"],
+    )
+    def test_walk_equals_the_per_vertex_walk(self, graph):
+        # random words, the empty one included, from every id at once; some
+        # cases read their own step tables, so walk a copy without them
+        built = graph()
+        g = FlipGraph(built.n, built.images)
+        rng, ids = random.Random(g.n), range((g.n + 4) << g.n)
+        words = [tuple(rng.choices(range(g.n + 1), k=k)) for k in (0, 1, 2, 3, 7, 12, 30)]
+        walked = [g.walk(word, ids) for word in words]
+        assert "steps" not in vars(g)
+        assert walked == [reference_walk(g.steps, word, ids) for word in words]
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_fiber_readers_never_build_the_step_tables(self, monkeypatch, tmp_path, n):
@@ -536,6 +579,12 @@ class TestDistance:
 class TestDiameter:
     def test_closed_form(self):
         assert [diameter(n) for n in (3, 4, 5, 6)] == [14, 20, 27, 35]
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, True, 2])
+    def test_closed_form_refuses_n_that_is_no_integer_n3(self, n):
+        # 3.5 used to give 16.0, and 3.0 the float 14.0
+        with pytest.raises(ValueError, match=f"requires an integer n >= 3, not {n!r}"):
+            diameter(n)
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_bfs_agrees(self, n):

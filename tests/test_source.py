@@ -107,3 +107,27 @@ def test_a_wrapper_that_calls_another_body_is_caught():
     assert "_meet" in calls_in(source, "meet")
     assert "_join" in calls_in(swapped, "meet")
     assert "_meet" not in calls_in(swapped, "meet")
+
+
+def attribute_reads(source, name):
+    """The lines of ``source`` that read an attribute called ``name``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == name
+    ]
+
+
+def test_checks_leave_the_voltages_to_the_flip_graph():
+    # the voltage format (images) is known to flipgraph alone: the checks
+    # walk words with FlipGraph.walk and read ids off the step tables
+    assert attribute_reads(source_of("checks"), "images") == []
+
+
+def test_a_check_that_reads_the_voltages_is_caught():
+    source = source_of("checks")
+    marker = "    g = _shared(\"graph\", flipgraph.build_graph, n)\n"
+    assert marker in source
+    inserted = source.replace(marker, marker + "    heads = g.images[0][0]\n", 1)
+    line = source[: source.index(marker)].count("\n") + 2
+    assert attribute_reads(inserted, "images") == [line]
