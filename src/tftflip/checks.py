@@ -196,10 +196,11 @@ def check_relations(n):
 
 
 def check_stabilizer(n):
-    # the stabilizer generators fix the star (the identity rep, id 0), and
-    # the step tables reach every vertex from it: the action is transitive
+    # the stabilizer generators fix the star (the identity rep, id 0), whose
+    # orbit, counted on the voltages, is every vertex: the action is transitive
     g = _shared("graph", flipgraph.build_graph, n)
-    orbit = len(_shared("distances", flipgraph.bfs_distances, g, 0))  # raises if disconnected
+    if (orbit := g.orbit_size()) != (n + 4) << n:
+        return False, "flip graph is disconnected: invariant violated"
     words = coxeter.stabilizer_generators(n)
     bad = [coxeter.format_word(w) for w in words if g.walk(w, [0]) != [0]]
     if bad:
@@ -577,7 +578,7 @@ def check_shortest_representatives(n):
     # a rep that keeps its own word has its hyperplane length in rep-lengths'
     # column; a shortened word's map is realized from its letters
     g = _shared("graph", flipgraph.build_graph, n)
-    base = _shared("distances", flipgraph.bfs_distances, g, 0)  # from the identity rep
+    base = flipgraph.bfs_distances(g, 0)  # from the identity rep
     lengths = _shared("lengths", _lengths, n)
     for r, word in flipgraph.shortest_representatives(n):
         u = flipgraph.vertex_id(r, n)
@@ -647,13 +648,12 @@ SUITES: list[Check] = [
         "flip-involution", "geometry", 13, check_flip_involution,
         reads=("triangulations", "phis", "flips"),
     ),
-    # each word walked from the first id of every fiber, building no step
-    # table: alone, 0.44-0.50 s / 19 MiB at n = 13, 1.0-1.4 s / 21 MiB at
-    # n = 14, the largest n build_graph accepts
-    Check("relations", "coxeter", 14, check_relations, reads=("graph",)),
-    # one search from the identity over the step tables: alone, 0.09 s /
-    # 22 MiB at n = 12, 0.19 s / 28 MiB at 13, 0.6 s / 39 MiB at 14
-    Check("stabilizer", "coxeter", 14, check_stabilizer, reads=("graph", "distances")),
+    # relations walks each word from the first id of every fiber, and
+    # stabilizer counts the base's orbit on the voltages; neither builds a
+    # step table.  Alone: 1.7 and 0.38 s / 21 MiB at n = 14, 8.9 and 1.8 s
+    # / 38 MiB at n = 16 (build_graph's cap; its build takes 1.0 s there)
+    Check("relations", "coxeter", 16, check_relations, reads=("graph",)),
+    Check("stabilizer", "coxeter", 16, check_stabilizer, reads=("graph",)),
     Check("volumes", "coxeter", 10, check_volumes),
     # alone, where it enumerates and flips itself: 0.03 s at n = 6,
     # 0.19-0.29 s / 20 MiB at n = 8; held at 5 because a cap of 6 adds an
@@ -669,10 +669,9 @@ SUITES: list[Check] = [
     Check("rep-lengths", "coxeter", 5, check_rep_lengths, reads=("rep_maps", "lengths")),
     # walks a_n's powers from the base once and each fiber head's word
     # once over all n+4 start ids, one fiber at a time, building no step
-    # table; alone (VmHWM): 1.7-2.1 s / 19 MiB at n = 13, 4.0-4.5 s /
-    # 21 MiB at n = 14 (MAX_GRAPH_N)
+    # table; alone (VmHWM): 5.9 s / 21 MiB at n = 14, 33 s / 38 MiB at 16
     Check(
-        "rep-phi-correspondence", "coxeter", 14, check_rep_phi_correspondence, reads=("graph",)
+        "rep-phi-correspondence", "coxeter", 16, check_rep_phi_correspondence, reads=("graph",)
     ),
     Check("s0-direction", "coxeter", 6, finding_s0_direction, finding=True),
     # reads rep-lengths' maps: alone, 0.06 s at n = 7 and 0.26 s / 22 MiB
@@ -721,7 +720,7 @@ SUITES: list[Check] = [
     # 0.71-0.77 s / 21 MiB at n = 9
     Check(
         "shortest-reps", "graph", 5, check_shortest_representatives, min_n=3,
-        reads=("graph", "distances", "rep_maps", "lengths"),
+        reads=("graph", "rep_maps", "lengths"),
     ),
     # 750 pairs drawn as ids, each through _distance: alone, 3.3-3.5 ms at
     # n = 11 and 4.3-4.8 ms / 18 MiB at n = 20
@@ -751,12 +750,11 @@ def run_suite(n: int, suite: str = "all"):
 
     The checks of one call share its inputs at n (the triangulations,
     their phi vectors and flip tables, the reps' phi vectors and the
-    positions of their triangulations, the flip graph and its distances
-    from the identity, the maps and lengths of the reps' words, the ideals
-    of join-irreducibles, meets and joins), each built on first use and
-    dropped once the last check that runs and lists it in ``reads`` has
-    read it; ``Check.run`` shares none.  An unknown ``suite`` raises
-    ``ValueError``.
+    positions of their triangulations, the flip graph, the maps and
+    lengths of the reps' words, the ideals of join-irreducibles, meets
+    and joins), each built on first use and dropped once the last check
+    that runs and lists it in ``reads`` has read it; ``Check.run``
+    shares none.  An unknown ``suite`` raises ``ValueError``.
     """
     if suite != "all" and suite not in suite_names():
         raise ValueError(f"unknown suite {suite!r}")

@@ -12,7 +12,7 @@ action of :mod:`tftflip.representatives`, the phi-conjugate of the
 geometric flip (cross-checked against :mod:`tftflip.geometry` in the
 test suite).  ``tft verify`` compares it with the flips and with the
 flip graph's step tables (``action-vs-geometry``); its other word
-checks walk the graph (``FlipGraph.walk``) and search it for transitivity.
+checks walk the graph and count the base's orbit on it (``FlipGraph``).
 
 The exact word-length function counts reflection hyperplanes
 separating the base alcove 0 < x_1 < ... < x_n < 1 from its image,

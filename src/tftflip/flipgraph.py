@@ -8,14 +8,14 @@ stepping e_n by +1 mod m is an automorphism of the graph, so the graph
 is stored as the derived graph of a Z/m voltage graph on the 2^n fibers
 (Gross & Tucker, *Topological Graph Theory*, ch. 2): per generator
 color, the image fiber and turn of each fiber, read off the generator
-action of ``representatives``.  Words walk them (``walk``), and the
-per-vertex step tables, ``steps[i][v]`` the id of s_i v, are derived
-from them on first use; a generator that fixes a vertex maps it to
-itself and contributes no edge.  The simple underlying graph is the
-Hasse diagram of the dominance lattice plus one "wrap" edge per choice
-of the first n-1 bits, and carries an exact distance formula and
-closed-form diameter, both cross-checked against breadth-first search
-over the graph.
+action of ``representatives``.  Words walk them (``walk``), the orbit
+of the base is counted on them (``orbit_size``), and the per-vertex
+step tables, ``steps[i][v]`` the id of s_i v, are derived from them on
+first use; a generator that fixes a vertex maps it to itself and adds
+no edge.  The simple underlying graph is the Hasse diagram of the
+dominance lattice plus one "wrap" edge per choice of the first n-1
+bits, and carries an exact distance formula and closed-form diameter,
+both cross-checked against breadth-first search over the graph.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
+from math import gcd
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -54,22 +55,19 @@ __all__ = [
 ]
 
 
-# The voltages take 5 bytes per fiber and color (1.2 MiB at n = 14), and
-# the exports stream from them alone; the step tables that the per-vertex
-# readers derive take 4 bytes per vertex and color (18 MiB at n = 14).
-# Measured at n = 14, one process each (2 vCPU, Python 3.11): tft graph
-# --format json 1.0-1.1 s / 21 MiB for a 98 MB file, --format dot
-# 0.8-1.0 s / 22 MiB for a 122 MB file; bfs_distance to the antipode
-# 0.8 s / 38-39 MiB.  Time and file size double per step of n, so n = 20
-# would write a JSON file of over 6 GB.
-MAX_GRAPH_N = 14
+# The word checks and the exports read the voltages, 5 bytes per fiber and
+# color; the per-vertex readers derive 4 bytes per vertex and color (85 MiB
+# at n = 16).  At n = 16, one process each (2 vCPU, Python 3.11): tft verify
+# 43 s / 38 MiB; tft graph json 5.9 s / 39 MiB for 486 MB, dot 4.9 s /
+# 41 MiB for 658 MB; bfs_distance to the antipode 7.8 s / 125 MiB.
+MAX_GRAPH_N = 16
 
 
 @dataclass(frozen=True)
 class FlipGraph:
     """The flip graph as a voltage graph: ``images[i] = (heads, turns)``,
     2^n entries each, says that s_i sends id F*m + e (m = n+4) to
-    heads[F]*m + (turns[F] + e) mod m, which is all that ``walk`` reads."""
+    heads[F]*m + (turns[F] + e) mod m, all that ``walk`` and ``orbit_size`` read."""
 
     n: int
     images: list[tuple[array, bytes]]
@@ -77,15 +75,38 @@ class FlipGraph:
     def walk(self, word: tuple[int, ...], ids: Iterable[int]) -> list[int]:
         """The ids that ``word`` sends ``ids`` to, rightmost letter first,
         read off ``images``: each id F*m + e steps its fiber F through the
-        word's rows, looked up once, and sums their turns onto e."""
+        word's rows, looked up once, and sums their turns onto e.  A letter
+        outside 0..n or an id outside 0..V-1 raises ``ValueError``."""
+        if word and not 0 <= min(word) <= max(word) <= self.n:
+            raise ValueError(f"word {word} has a letter outside 0..{self.n}")
         m, rows = self.n + 4, [self.images[letter] for letter in reversed(word)]
-        walked = []
+        walked, size = [], m << self.n
         for u in ids:
+            if not 0 <= u < size:
+                raise ValueError(f"vertex id {u!r} out of range 0..{size - 1}")
             f, e = divmod(u, m)
             for heads, turns in rows:
                 f, e = heads[f], e + turns[f]
             walked.append(f * m + e % m)
         return walked
+
+    def orbit_size(self) -> int:
+        """The number of ids that words send id 0 to, read off the checked
+        involutions of ``_fiber_images`` (Gross & Tucker, ch. 2): a search
+        from fiber 0 gives each fiber F it reaches a potential p[F], the sum
+        of the turns on its path; each edge F -> F' of turn t closes a walk
+        of voltage p[F] + t - p[F'], and the orbit meets each reached fiber
+        in the m / g ids p[F] + kg, g the gcd of m = n+4 and all of them."""
+        m, images = self.n + 4, _fiber_images(self)
+        potential, reached, g = [0] + [-1] * ((1 << self.n) - 1), [0], m
+        for f in reached:  # grows as the search reaches fibers
+            for heads, turns in images:
+                h, p = heads[f], potential[f] + turns[f]
+                if potential[h] < 0:  # a tree edge, of voltage 0
+                    potential[h] = p
+                    reached.append(h)
+                g = gcd(g, p - potential[h])
+        return len(reached) * m // g
 
     @cached_property
     def steps(self) -> list[array]:
@@ -94,7 +115,7 @@ class FlipGraph:
         lattice's ideals and the checks that compare tables per id): each
         fiber appends its image fiber's block of ``array("i")`` bytes, or
         two slices of it where the turn is not 0.  The fiber readers
-        (``walk``, the exports and ``bfs_diameter``) never build it."""
+        (``walk``, ``orbit_size``, the exports, ``bfs_diameter``) never build it."""
         m, width = self.n + 4, struct.calcsize("i")
         # struct packs a range about 2.5 times faster than array("i") reads it
         data = struct.pack(f"{m << self.n}i", *range(m << self.n))

@@ -404,6 +404,27 @@ def test_rep_phi_correspondence_derives_no_step_tables(monkeypatch, n):
     assert derived_tables(monkeypatch, checks.check_rep_phi_correspondence, n) == [False]
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_stabilizer_derives_no_step_tables(monkeypatch, n):
+    # its orbit is counted on the voltages, not searched per vertex
+    assert derived_tables(monkeypatch, checks.check_stabilizer, n) == [False]
+
+
+def test_coxeter_suite_at_n12_derives_no_step_tables(monkeypatch):
+    # relations, stabilizer and rep-phi-correspondence share one graph,
+    # and none of them leaves the step tables cached on it
+    rows = {}
+
+    def suite(n):
+        rows.update((name, status) for name, status, _ in checks.run_suite(n, "coxeter"))
+        return (True,)
+
+    assert derived_tables(monkeypatch, suite, 12) == [False]
+    ran = {name for name, status in rows.items() if status != "skip"}
+    assert ran == {"relations", "stabilizer", "rep-phi-correspondence"}
+    assert set(rows.values()) == {"ok", "skip"}
+
+
 def join_fixed_vertices(steps, n):
     # s_1 fixes ids 0 and n+4 (bits 0...0 and 0...01, e_n = 0); an s_1
     # edge between them has no rotated copy at ids 1 and n+5
@@ -535,6 +556,12 @@ def test_a_point_query_leaves_a_split_away_from_its_pair_to_verify(monkeypatch, 
 def test_stabilizer_catches_a_short_orbit(monkeypatch):
     broken_images(monkeypatch, freeze_ends)
     assert row("stabilizer") == ("FAIL", DISCONNECTED)
+
+
+def test_stabilizer_refuses_a_table_that_is_not_an_involution(monkeypatch):
+    # the orbit is read off the voltages of involutions only
+    broken_images(monkeypatch, bottom_to_top)
+    assert row("stabilizer") == ("FAIL", "s_0 is not an involution at vertex 0")
 
 
 def swap_fixed_fibers(images, n):
@@ -730,8 +757,8 @@ def test_one_run_flips_each_triangulation_once(monkeypatch, n):
 def test_one_run_rebuilds_each_triangulation_from_its_vector_twice(monkeypatch):
     # phi_inv runs V times in the enumeration, V in phi-roundtrip, V for
     # the id order that action-vs-geometry and antipodes read, and once in
-    # s0-direction; the search from the identity runs once for stabilizer
-    # and shortest-reps, besides distance-formula's 20 sources
+    # s0-direction; the search from the identity runs once, for
+    # shortest-reps, besides distance-formula's 20 sources
     n, vertices = 5, 288
     inverses = counted(monkeypatch, geometry, "phi_inv")
     searches = counted(monkeypatch, flipgraph, "bfs_distances")

@@ -146,6 +146,14 @@ class TestDistance:
         assert exc.value.code == 2
         assert_one_line_usage_error(capsys)
 
+    def test_search_above_the_graph_cap_is_usage_error(self, capsys):
+        n = tftflip.flipgraph.MAX_GRAPH_N + 1
+        ends = [",".join(["0"] * (n + 1)), ",".join(["1"] * n + ["0"])]
+        with pytest.raises(SystemExit) as exc:
+            main(["distance", "-n", str(n), "--from", ends[0], "--to", ends[1], "--method", "bfs"])
+        assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
+
 
 class TestDiameter:
     def test_plain(self, capsys):
@@ -236,6 +244,14 @@ class TestGraph:
         )
         assert code == 0
         assert path.read_text().startswith("graph flipgraph_n2 {")
+
+    def test_above_the_graph_cap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "-n", str(tftflip.flipgraph.MAX_GRAPH_N + 1), "-o", str(path)])
+        assert exc.value.code == 2
+        assert_one_line_usage_error(capsys)
+        assert not path.exists()
 
     def test_n12_json_export_streams_in_small_memory(self, tmp_path):
         # built whole as one document and string, it peaked at 347 MiB

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from array import array
 from collections import Counter, defaultdict, deque
 from itertools import product
@@ -213,6 +214,41 @@ def without_edges():
     return FlipGraph(3, [(array("i", range(8)), bytes(8))] * 4)
 
 
+def with_turns(g, turn):
+    """``g`` with each fiber's turn t replaced by ``turn(t) mod (n+4)``."""
+    return FlipGraph(g.n, [(h, bytes(turn(t) % (g.n + 4) for t in ts)) for h, ts in g.images])
+
+
+def freeze_ends(g):
+    """``g`` with s_0 and s_n fixing every vertex: no generator left
+    changes the number of ones, so id 0 is alone in its orbit."""
+    fixed = (array("i", range(1 << g.n)), bytes(1 << g.n))
+    return FlipGraph(g.n, [fixed, *g.images[1 : g.n], fixed])
+
+
+def cut_off(g, f):
+    """``g`` with fiber ``f`` and each of its image fibers fixed by that
+    color, so that no generator joins ``f`` to another fiber."""
+    images = []
+    for heads, turns in g.images:
+        heads, turns, h = array("i", heads), bytearray(turns), heads[f]
+        heads[f], heads[h], turns[f], turns[h] = f, h, 0, 0
+        images.append((heads, bytes(turns)))
+    return FlipGraph(g.n, images)
+
+
+# voltages and the orbit size of id 0 under them: the true graph is
+# transitive, zero turns keep each fiber's id e, even turns keep e's
+# parity, and a fiber cut off loses its n+4 ids
+ORBITS = {
+    "true": (lambda g: g, lambda n: (n + 4) << n),
+    "zero-turns": (lambda g: with_turns(g, lambda t: 0), lambda n: 1 << n),
+    "doubled-turns": (lambda g: with_turns(g, lambda t: 2 * t), lambda n: (n + 4) << n - 1),
+    "frozen-ends": (freeze_ends, lambda n: 1),
+    "cut-off": (lambda g: cut_off(g, (1 << g.n) - 1), lambda n: ((1 << n) - 1) * (n + 4)),
+}
+
+
 def bottom_to_top(n=3):
     """``build_graph(n)`` with s_0 sending fiber 0 (bits 0...0) to the
     last fiber (bits 1...1), turn kept: s_0 s_0 then moves id 0."""
@@ -341,6 +377,19 @@ class TestStructure:
         with pytest.raises(ValueError):
             build_graph(25)
 
+    def test_above_the_cap_is_refused_before_anything_is_built(self, monkeypatch):
+        # one fiber head per 2^n would take megabytes at n = 17
+        calls = []
+        monkeypatch.setattr(reps, "_apply_generator", lambda *args: calls.append(args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n <= {flipgraph.MAX_GRAPH_N}$"):
+                build_graph(flipgraph.MAX_GRAPH_N + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (calls, peak < 1 << 16) == ([], True)
+
 
 class TestStepTables:
     @pytest.mark.parametrize("n", range(2, 10))
@@ -460,6 +509,27 @@ class TestStepTables:
         walked = [g.walk(word, ids) for word in words]
         assert "steps" not in vars(g)
         assert walked == [reference_walk(g.steps, word, ids) for word in words]
+
+    @pytest.mark.parametrize("word, ids", [((-1,), [0]), ((4,), [0]), ((0,), [-1]), ((0,), [56])])
+    def test_walk_refuses_a_letter_or_id_out_of_range(self, word, ids):
+        # a letter -1 would read the last color's row, an id -1 the last
+        # fiber's, and id V would raise a bare IndexError
+        g = build_graph(3)
+        with pytest.raises(ValueError, match="out"):
+            g.walk(word, ids)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("case", ORBITS)
+    def test_orbit_size_equals_the_per_vertex_search(self, case, n):
+        breakage, expected = ORBITS[case]
+        g = breakage(build_graph(n))
+        dist = reference_bfs(reference_adjacency(reference_derived_steps(g)), 0)
+        assert g.orbit_size() == sum(d >= 0 for d in dist) == expected(n)
+        assert "steps" not in vars(g)
+
+    def test_orbit_size_refuses_a_table_that_is_not_an_involution(self):
+        with pytest.raises(RuntimeError, match="s_0 is not an involution at vertex 0"):
+            bottom_to_top().orbit_size()
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_fiber_readers_never_build_the_step_tables(self, monkeypatch, tmp_path, n):
